@@ -17,6 +17,11 @@ to pickled values:
   version or key mismatches are all *silently treated as misses* (counted
   in ``stats.corrupt`` and best-effort deleted).  A cache must never turn a
   bad disk into a compile failure.
+* **Compiler semantics** — every entry is stamped with
+  :data:`COMPILER_SEMANTICS_VERSION`.  An entry with another stamp, or none,
+  is a healthy entry from another compiler: a plain miss, left on disk
+  (the next :meth:`CompileCache.put` of its key replaces it).  An old
+  compiler's answer is never served as a new compiler's.
 * **In-memory LRU** — the hottest ``memory_entries`` values are kept
   deserialized in process, so repeated lookups inside one run skip the disk
   entirely.  Values are treated as immutable by convention: the same object
@@ -48,6 +53,18 @@ from typing import Any, Iterator, List, Optional, Union
 #: Bump when the on-disk payload format changes; old ``v<N>`` directories
 #: are ignored by newer stores and removed by :meth:`CompileCache.clear`.
 CACHE_VERSION = 1
+
+#: Version of what the compiler *computes* from a given input.  Bump it
+#: whenever compile output can change for the same inputs: an allocator,
+#: placement, verifier, overhead-accounting or cost-summation change.
+#: Every entry is stamped with it and any other stamp is a miss, so
+#: compile, measure, lint and service entries written by an older compiler
+#: are never served.  It is deliberately not part of the cache *key*: keys
+#: also place requests on the fleet's hash ring, whose placement is pinned.
+#: v1: parameter interference in the allocator (an older cache answered
+#: ``a + 2*b`` at (3, 5) with 15, not 13) and order-independent
+#: save/restore set costs.
+COMPILER_SEMANTICS_VERSION = 1
 
 _MISSING = object()
 
@@ -154,6 +171,8 @@ class CompileCache:
                 self.stats.corrupt += 1
             self._discard(path)
             return _MISSING
+        if payload.get("semantics") != COMPILER_SEMANTICS_VERSION:
+            return _MISSING
         return payload["value"]
 
     @staticmethod
@@ -185,7 +204,12 @@ class CompileCache:
         self._remember(key, value)
         path = self._path(key)
         payload = pickle.dumps(
-            {"schema": CACHE_VERSION, "key": key, "value": value},
+            {
+                "schema": CACHE_VERSION,
+                "semantics": COMPILER_SEMANTICS_VERSION,
+                "key": key,
+                "value": value,
+            },
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         try:

@@ -11,8 +11,12 @@ requests:
 
 * :mod:`repro.service.protocol` — the versioned JSON-lines wire protocol
   with strict validation and the bit-identity ``result`` payload contract;
-* :mod:`repro.service.server` — admission control, micro-batching,
-  in-flight request coalescing, the shared cache front and graceful drain;
+* :mod:`repro.service.endpoint` — the serving core the server and the
+  fleet router share (connection loop, handshake, admin requests, bounded
+  send, graceful drain) and the id-demultiplexed client link;
+* :mod:`repro.service.server` — one request pipeline for compile and lint:
+  admission control, micro-batching, in-flight request coalescing and the
+  shared cache front;
 * :mod:`repro.service.client` — sync and async clients with timeouts and
   retry-on-``overloaded``;
 * :mod:`repro.service.metrics` — counters, latency histograms and the

@@ -3,8 +3,9 @@
 This is the horizontal layer on top of :mod:`repro.service.server`: N
 independent shard processes (each a full :class:`CompileServer`) behind one
 :class:`FleetRouter` frontend that speaks the same JSON-lines protocol as a
-single server — existing clients, the load generator and the CI harness
-connect to the router without change.
+single server, through the same endpoint core
+(:mod:`repro.service.endpoint`) — existing clients, the load generator and
+the CI harness connect to the router without change.
 
 The router does four things:
 
@@ -54,11 +55,14 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.service.health import (
-    METRICS_TEXT_SCHEMA,
-    HealthMonitor,
-    render_metrics_text,
+from repro.service.endpoint import (
+    SEND_TIMEOUT_SECONDS,
+    STREAM_LIMIT,
+    Endpoint,
+    Link,
+    cancel_task,
 )
+from repro.service.health import HealthMonitor
 from repro.service.metrics import LatencyHistogram
 from repro.service.peering import (
     DEFAULT_TIER_ENTRIES,
@@ -66,28 +70,14 @@ from repro.service.peering import (
     serve_peering_connection,
 )
 from repro.service.protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
     CompileAnswer,
-    ProtocolError,
-    decode_message,
-    encode_message,
     error_message,
     hello_message,
     lint_result_message,
-    parse_compile_request,
-    parse_hello,
-    parse_lint_request,
-    resolve_compile_request,
-    resolve_lint_request,
 )
 from repro.service.policy import Decision, PolicyEngine, default_engine
 from repro.service.ring import HashRing
-from repro.service.server import (
-    DEFAULT_HEALTH_INTERVAL,
-    SEND_TIMEOUT_SECONDS,
-    _check_admin_fields,
-)
+from repro.service.server import DEFAULT_HEALTH_INTERVAL
 
 #: Seconds of "pending work but no response" after which the stall
 #: watchdog declares a shard wedged and isolates it (tests shrink this).
@@ -159,22 +149,13 @@ class RouterMetrics:
         uptime = time.monotonic() - self.started_at
         return {
             "uptime_seconds": round(uptime, 3),
-            "received": self.received,
-            "completed": self.completed,
-            "errors": self.errors,
-            "protocol_errors": self.protocol_errors,
-            "rejected_shutting_down": self.rejected_shutting_down,
-            "tier_hits": self.tier_hits,
-            "forwarded": self.forwarded,
-            "rerouted": self.rerouted,
-            "shard_deaths": self.shard_deaths,
-            "wedged": self.wedged,
+            **self.counter_values(),
             "qps": round(self.completed / uptime, 3) if uptime > 0 else 0.0,
             "latency_ms": self.latency_ms.summary(),
         }
 
 
-class _ShardLink:
+class _ShardLink(Link):
     """The router's pipelined connection to one shard.
 
     Forwards carry router-assigned ids (``x1``, ``x2``, ...) so responses
@@ -192,19 +173,12 @@ class _ShardLink:
         port: int,
         on_death: Callable[[str, str], None],
     ):
+        super().__init__(host, port, id_prefix="x")
         self.shard_id = shard_id
-        self.host = host
-        self.port = port
         self.forwarded = 0
         self.answered = 0
         self._on_death = on_death
-        self._counter = 0
         self._dead: Optional[str] = None
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
-        self._pending: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
-        self._write_lock = asyncio.Lock()
         # The wedge detector's clock: reset whenever pending work starts
         # or any response arrives; stale + pending work = wedged.
         self._last_progress = time.monotonic()
@@ -213,13 +187,7 @@ class _ShardLink:
     def healthy(self) -> bool:
         """Whether the link is connected and usable for forwards."""
 
-        return self._dead is None and self._writer is not None
-
-    @property
-    def pending_count(self) -> int:
-        """Forwards currently awaiting a response from this shard."""
-
-        return len(self._pending)
+        return self._dead is None and self.connected
 
     @property
     def stalled_seconds(self) -> float:
@@ -230,24 +198,14 @@ class _ShardLink:
     async def connect(self, timeout: float = 30.0) -> None:
         """Open the connection and complete the protocol handshake."""
 
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(
-                self.host, self.port, limit=MAX_FRAME_BYTES + 1024
-            ),
-            timeout=timeout,
-        )
-        writer.write(encode_message(hello_message()))
-        await asyncio.wait_for(writer.drain(), timeout=timeout)
-        reply = decode_message(await asyncio.wait_for(reader.readline(), timeout=timeout))
-        if reply.get("type") != "hello":
-            writer.close()
-            raise ConnectionError(
-                f"shard {self.shard_id} rejected the handshake: {reply!r}"
-            )
-        self._reader = reader
-        self._writer = writer
+        def accept(reply: Dict[str, Any]) -> None:
+            if reply.get("type") != "hello":
+                raise ConnectionError(
+                    f"shard {self.shard_id} rejected the handshake: {reply!r}"
+                )
+
+        await self._connect(hello_message(), accept, timeout)
         self._last_progress = time.monotonic()
-        self._reader_task = asyncio.ensure_future(self._read_loop())
 
     async def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Forward one message and await the matching response.
@@ -256,54 +214,29 @@ class _ShardLink:
         link is or goes down before the response arrives.
         """
 
-        if self._dead is not None or self._writer is None:
+        if not self.healthy:
             raise ShardDied(self._dead or "link not connected")
-        self._counter += 1
-        internal_id = f"x{self._counter}"
         forward = dict(message)
-        forward["id"] = internal_id
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
+        forward["id"] = self._next_id()
         if not self._pending:
             self._last_progress = time.monotonic()
-        self._pending[internal_id] = future
         self.forwarded += 1
         try:
-            async with self._write_lock:
-                self._writer.write(encode_message(forward))
-                await asyncio.wait_for(
-                    self._writer.drain(), timeout=SEND_TIMEOUT_SECONDS
-                )
+            return await self._exchange(forward, SEND_TIMEOUT_SECONDS)
+        except ShardDied:
+            raise
         except Exception:
-            self._pending.pop(internal_id, None)
             self.close("write to shard failed")
             raise ShardDied("write to shard failed")
-        try:
-            return await future
-        finally:
-            self._pending.pop(internal_id, None)
 
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
-        while True:
-            try:
-                line = await self._reader.readline()
-            except (ConnectionResetError, ValueError, asyncio.CancelledError):
-                break
-            if not line:
-                break
-            if not line.strip():
-                continue
-            try:
-                message = decode_message(line)
-            except ProtocolError:
-                continue
-            self._last_progress = time.monotonic()
-            future = self._pending.pop(message.get("id"), None)
-            if future is not None and not future.done():
-                self.answered += 1
-                future.set_result(message)
+    def _received(self, message: Dict[str, Any]) -> bool:
+        self._last_progress = time.monotonic()
+        matched = super()._received(message)
+        if matched:
+            self.answered += 1
+        return matched
+
+    def _connection_lost(self) -> None:
         self.close("shard connection closed")
 
     def close(self, reason: str) -> None:
@@ -312,31 +245,11 @@ class _ShardLink:
         if self._dead is not None:
             return
         self._dead = reason
-        if self._reader_task is not None and self._reader_task is not asyncio.current_task():
-            self._reader_task.cancel()
-        if self._writer is not None:
-            try:
-                self._writer.close()
-            except Exception:  # pragma: no cover - best-effort close
-                pass
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
-            if not future.done():
-                future.set_exception(ShardDied(reason))
+        self._teardown(ShardDied(reason))
         self._on_death(self.shard_id, reason)
 
 
-@dataclass(eq=False)
-class _ClientConnection:
-    """Per-client-connection state on the router (mirror of the server's)."""
-
-    reader: asyncio.StreamReader
-    writer: asyncio.StreamWriter
-    write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    greeted: bool = False
-
-
-class FleetRouter:
+class FleetRouter(Endpoint):
     """The fleet frontend: protocol endpoint, hash ring, shared tier.
 
     Construct, ``await start()`` (both listeners bind; ephemeral ports
@@ -344,6 +257,9 @@ class FleetRouter:
     ``await serve_forever()``.  The synchronous wrapper most callers want
     is :class:`Fleet`.
     """
+
+    ROLE = "router"
+    DRAINING_MESSAGE = "fleet is draining; try again later"
 
     def __init__(
         self,
@@ -356,48 +272,32 @@ class FleetRouter:
     ):
         if stall_timeout <= 0:
             raise ValueError(f"stall_timeout must be > 0, got {stall_timeout!r}")
-        if health_interval <= 0:
-            raise ValueError(f"health_interval must be > 0, got {health_interval!r}")
-        self.host = host
-        self.port = port
+        super().__init__(host, port, health_interval)
         self.peer_port = peer_port
         self.stall_timeout = stall_timeout
         self.ring = HashRing()
         self.tier = SharedCacheTier(max_entries=tier_entries)
         self.metrics = RouterMetrics()
-        self.health_interval = health_interval
         self.health = HealthMonitor(counters=tuple(self.metrics.counter_values()))
 
         self._links: Dict[str, _ShardLink] = {}
         self._lost: Dict[str, str] = {}
         self._memo: "OrderedDict[Tuple, str]" = OrderedDict()
-        self._server: Optional[asyncio.base_events.Server] = None
         self._peer_server: Optional[asyncio.base_events.Server] = None
-        self._connections: set = set()
         self._watchdog_task: Optional[asyncio.Task] = None
-        self._health_task: Optional[asyncio.Task] = None
-        self._draining = False
-        self._active_requests = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._closed = asyncio.Event()
 
     # -- lifecycle ----------------------------------------------------------------
 
     async def start(self) -> None:
         """Bind the client and peering listeners and start the watchdog."""
 
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_FRAME_BYTES + 1024
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._open()
         self._peer_server = await asyncio.start_server(
             self._handle_peering, self.host, self.peer_port,
-            limit=MAX_FRAME_BYTES + 1024,
+            limit=STREAM_LIMIT,
         )
         self.peer_port = self._peer_server.sockets[0].getsockname()[1]
         self._watchdog_task = asyncio.ensure_future(self._watchdog())
-        self._health_task = asyncio.ensure_future(self._health_loop())
 
     async def _handle_peering(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -411,12 +311,6 @@ class FleetRouter:
             # still parked in readline(); swallowing the cancellation keeps
             # the event loop's task-exception callback quiet.
             pass
-
-    @property
-    def peer_address(self) -> str:
-        """The ``host:port`` shards pass to ``serve --peer``."""
-
-        return f"{self.host}:{self.peer_port}"
 
     async def attach_shard(self, shard_id: str, host: str, port: int) -> None:
         """Connect a shard, add it to the ring, start routing to it."""
@@ -457,18 +351,10 @@ class FleetRouter:
                         f"for {link.stalled_seconds:.1f}s"
                     )
 
-    async def _health_loop(self) -> None:
-        """Feed the router counters into the rolling window every tick.
-
-        Keeps the windowed rates current even between ``stats`` polls, so
-        a recorded trace attributes counter deltas close to event time.
-        """
-
-        while not self._draining:
-            await asyncio.sleep(self.health_interval)
-            if self._draining:
-                return
-            self.health.feed_counters(self.metrics.counter_values())
+    def _health_step(self) -> None:
+        # Keeps the windowed rates current even between ``stats`` polls, so
+        # a recorded trace attributes counter deltas close to event time.
+        self.health.feed_counters(self.metrics.counter_values())
 
     def health_sample(self) -> Dict[str, Any]:
         """The router's ``health-sample/v1`` payload, with shard link state.
@@ -514,24 +400,7 @@ class FleetRouter:
         link.close(f"wedged: {reason}")
         return True
 
-    def request_drain(self) -> None:
-        """Schedule a graceful fleet drain (signal-handler safe)."""
-
-        asyncio.ensure_future(self.drain())
-
-    async def drain(self) -> None:
-        """Stop admitting, finish in-flight work, drain shards, close up.
-
-        Idempotent; concurrent callers await the same shutdown.
-        """
-
-        if self._draining:
-            await self._closed.wait()
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-        await self._idle.wait()
+    async def _drain_work(self) -> None:
         # Ask every shard to drain gracefully; a shard that cannot answer
         # (dead, wedged) is simply closed.
         for link in list(self._links.values()):
@@ -540,67 +409,13 @@ class FleetRouter:
                     link.request({"type": "shutdown"}),
                     timeout=SHARD_DRAIN_TIMEOUT_SECONDS,
                 )
-            except (ShardDied, asyncio.TimeoutError, Exception):
+            except Exception:
                 pass
         for link in list(self._links.values()):
             link.close("fleet drained")
-        if self._watchdog_task is not None:
-            self._watchdog_task.cancel()
-            try:
-                await self._watchdog_task
-            except asyncio.CancelledError:
-                pass
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-        for connection in list(self._connections):
-            try:
-                connection.writer.close()
-            except Exception:  # pragma: no cover - best-effort close
-                pass
+        await cancel_task(self._watchdog_task)
         if self._peer_server is not None:
             self._peer_server.close()
-        if self._server is not None:
-            try:
-                await asyncio.wait_for(self._server.wait_closed(), timeout=5.0)
-            except asyncio.TimeoutError:  # pragma: no cover - defensive
-                pass
-        self._closed.set()
-
-    async def serve_forever(self) -> None:
-        """Block until the fleet has fully drained and closed."""
-
-        await self._closed.wait()
-
-    def install_signal_handlers(self) -> None:
-        """Drain gracefully on SIGTERM/SIGINT (POSIX event loops only)."""
-
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self.request_drain)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-
-    @property
-    def draining(self) -> bool:
-        """Whether the router has begun a graceful drain."""
-
-        return self._draining
-
-    # -- request bookkeeping ------------------------------------------------------
-
-    def _request_started(self) -> None:
-        self._active_requests += 1
-        self._idle.clear()
-
-    def _request_finished(self) -> None:
-        self._active_requests -= 1
-        if self._active_requests == 0:
-            self._idle.set()
 
     # -- the client-facing protocol endpoint --------------------------------------
 
@@ -614,164 +429,9 @@ class FleetRouter:
             "stall_timeout": self.stall_timeout,
         }
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _ClientConnection(reader=reader, writer=writer)
-        self._connections.add(connection)
-        tasks: set = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ConnectionResetError:
-                    break
-                except (ValueError, asyncio.IncompleteReadError):
-                    self.metrics.protocol_errors += 1
-                    self.metrics.errors += 1
-                    await self._send(
-                        connection,
-                        error_message(
-                            "protocol",
-                            f"frame exceeds {MAX_FRAME_BYTES} bytes or the "
-                            "stream is malformed; closing",
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    message = decode_message(line)
-                except ProtocolError as exc:
-                    self.metrics.protocol_errors += 1
-                    self.metrics.errors += 1
-                    await self._send(connection, error_message("bad_request", str(exc)))
-                    continue
-                if not connection.greeted:
-                    if not await self._handshake(connection, message):
-                        break
-                    continue
-                kind = message.get("type")
-                if kind in ("compile", "lint"):
-                    task = asyncio.ensure_future(
-                        self._handle_request(connection, message, kind)
-                    )
-                    tasks.add(task)
-                    task.add_done_callback(tasks.discard)
-                elif kind in ("stats", "metrics", "shutdown"):
-                    try:
-                        _check_admin_fields(message, kind)
-                    except ProtocolError as exc:
-                        self.metrics.protocol_errors += 1
-                        self.metrics.errors += 1
-                        await self._send(
-                            connection,
-                            error_message("bad_request", str(exc), message.get("id")),
-                        )
-                        continue
-                    if kind == "stats":
-                        await self._send(
-                            connection,
-                            {
-                                "type": "stats",
-                                "id": message.get("id"),
-                                "stats": await self.stats_snapshot_async(),
-                            },
-                        )
-                    elif kind == "metrics":
-                        await self._send(
-                            connection,
-                            {
-                                "type": "metrics",
-                                "id": message.get("id"),
-                                "schema": METRICS_TEXT_SCHEMA,
-                                "text": render_metrics_text(
-                                    await self.stats_snapshot_async()
-                                ),
-                            },
-                        )
-                    else:
-                        await self._send(
-                            connection, {"type": "ok", "id": message.get("id")}
-                        )
-                        self.request_drain()
-                else:
-                    self.metrics.protocol_errors += 1
-                    self.metrics.errors += 1
-                    await self._send(
-                        connection,
-                        error_message(
-                            "bad_request",
-                            f"unknown message type {kind!r}",
-                            message.get("id") if isinstance(message.get("id"), str) else None,
-                        ),
-                    )
-        except ConnectionResetError:  # pragma: no cover - peer vanished
-            pass
-        finally:
-            if tasks:
-                await asyncio.gather(*list(tasks), return_exceptions=True)
-            self._connections.discard(connection)
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - best-effort close
-                pass
-
-    async def _handshake(
-        self, connection: _ClientConnection, message: Dict[str, Any]
-    ) -> bool:
-        try:
-            if message.get("type") != "hello":
-                raise ProtocolError(
-                    "first message must be a 'hello' handshake", code="protocol"
-                )
-            version = parse_hello(message)
-        except ProtocolError as exc:
-            self.metrics.protocol_errors += 1
-            self.metrics.errors += 1
-            await self._send(connection, error_message("protocol", str(exc)))
-            return False
-        if version != PROTOCOL_VERSION:
-            self.metrics.protocol_errors += 1
-            self.metrics.errors += 1
-            await self._send(
-                connection,
-                error_message(
-                    "protocol",
-                    f"protocol version mismatch: client speaks {version}, "
-                    f"router speaks {PROTOCOL_VERSION}",
-                ),
-            )
-            return False
-        connection.greeted = True
-        await self._send(connection, hello_message(server_info=self.describe()))
-        return True
-
-    async def _send(
-        self, connection: _ClientConnection, message: Dict[str, Any]
-    ) -> None:
-        """Bounded, locked write of one message to a client connection."""
-
-        payload = encode_message(message)
-        async with connection.write_lock:
-            try:
-                connection.writer.write(payload)
-                await asyncio.wait_for(
-                    connection.writer.drain(), timeout=SEND_TIMEOUT_SECONDS
-                )
-            except asyncio.TimeoutError:
-                try:
-                    connection.writer.close()
-                except Exception:  # pragma: no cover - best-effort close
-                    pass
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-
     # -- routing ------------------------------------------------------------------
 
-    async def _cache_key_for(self, request, resolver) -> str:
+    async def _resolve(self, request, resolver) -> str:
         """The request's routing/tier key, memoized by request signature.
 
         Resolution (IR parsing, scenario generation, fingerprinting) is
@@ -793,109 +453,45 @@ class FleetRouter:
             self._memo.popitem(last=False)
         return resolved.cache_key
 
-    async def _handle_request(
-        self, connection: _ClientConnection, message: Dict[str, Any], kind: str
-    ) -> None:
+    async def _respond(
+        self,
+        kind: str,
+        message: Dict[str, Any],
+        request: Any,
+        cache_key: str,
+        arrived: float,
+    ) -> Dict[str, Any]:
         """Route one compile or lint request: tier front, then forward.
 
-        Both kinds share the whole flow — parse, key, tier, consistent-hash
-        forward — and differ only in the parser/resolver pair and the shape
-        of a tier-hit answer.
+        Both kinds share the whole flow and differ only in the shape of a
+        tier-hit answer.
         """
 
-        parser = parse_compile_request if kind == "compile" else parse_lint_request
-        resolver = (
-            resolve_compile_request if kind == "compile" else resolve_lint_request
-        )
-        self.metrics.received += 1
-        self._request_started()
-        arrived = time.monotonic()
-        request_id = message.get("id") if isinstance(message.get("id"), str) else None
-        try:
-            try:
-                request = parser(message)
-                request_id = request.id
-                cache_key = await self._cache_key_for(request, resolver)
-            except ProtocolError as exc:
-                self.metrics.protocol_errors += 1
-                self.metrics.errors += 1
-                await self._send(
-                    connection, error_message(exc.code, str(exc), request_id)
-                )
-                return
-            except Exception as exc:
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message(
-                        "internal",
-                        f"request resolution failed: {type(exc).__name__}: {exc}",
-                        request_id,
-                    ),
-                )
-                return
+        # Tier front: the whole fleet may already know this answer.
+        if request.cache == "use":
+            entry = self.tier.get(cache_key)
+            if entry is not None:
+                self.metrics.tier_hits += 1
+                if kind == "lint":
+                    return lint_result_message(
+                        request.id, dict(entry["result"]), cache_status="tier"
+                    )
+                return CompileAnswer(
+                    result=dict(entry["result"]),
+                    pass_seconds=dict(entry["pass_seconds"]),
+                    cache_status="tier",
+                ).to_message(request.id)
 
-            if self._draining:
-                self.metrics.rejected_shutting_down += 1
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message(
-                        "shutting_down", "fleet is draining; try again later",
-                        request_id,
-                    ),
-                )
-                return
-
-            # Tier front: the whole fleet may already know this answer.
-            if request.cache == "use":
-                entry = self.tier.get(cache_key)
-                if entry is not None:
-                    if kind == "compile":
-                        answer = CompileAnswer(
-                            result=dict(entry["result"]),
-                            pass_seconds=dict(entry["pass_seconds"]),
-                            cache_status="tier",
-                            queue_ms=0.0,
-                            compile_ms=0.0,
-                        ).to_message(request_id)
-                    else:
-                        answer = lint_result_message(
-                            request_id, dict(entry["result"]), cache_status="tier"
-                        )
-                    self.metrics.tier_hits += 1
-                    self.metrics.completed += 1
-                    latency_ms = (time.monotonic() - arrived) * 1000.0
-                    self.metrics.latency_ms.record(latency_ms)
-                    self.health.observe_latency(latency_ms)
-                    await self._send(connection, answer)
-                    return
-
-            response, shard_id = await self._forward(message, cache_key)
-            if response is None:
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message(
-                        "internal", "no healthy shard available", request_id
-                    ),
-                )
-                return
-            relayed = dict(response)
-            relayed["id"] = request_id
-            if relayed.get("type") == "result":
-                service = dict(relayed.get("service") or {})
-                service["shard"] = shard_id
-                relayed["service"] = service
-                self.metrics.completed += 1
-                latency_ms = (time.monotonic() - arrived) * 1000.0
-                self.metrics.latency_ms.record(latency_ms)
-                self.health.observe_latency(latency_ms)
-            else:
-                self.metrics.errors += 1
-            await self._send(connection, relayed)
-        finally:
-            self._request_finished()
+        response, shard_id = await self._forward(message, cache_key)
+        if response is None:
+            return error_message("internal", "no healthy shard available", request.id)
+        relayed = dict(response)
+        relayed["id"] = request.id
+        if relayed.get("type") == "result":
+            service = dict(relayed.get("service") or {})
+            service["shard"] = shard_id
+            relayed["service"] = service
+        return relayed
 
     async def _forward(
         self, message: Dict[str, Any], cache_key: str

@@ -227,21 +227,7 @@ class ServiceMetrics:
         snapshot: Dict[str, Any] = {
             "schema": "service-stats/v1",
             "uptime_seconds": round(uptime, 3),
-            "requests": {
-                "received": self.received,
-                "completed": self.completed,
-                "errors": self.errors,
-                "protocol_errors": self.protocol_errors,
-                "rejected_overloaded": self.rejected_overloaded,
-                "rejected_shed": self.rejected_shed,
-                "rejected_shutting_down": self.rejected_shutting_down,
-                "coalesced": self.coalesced,
-                "cache_hits": self.cache_hits,
-                "peer_hits": self.peer_hits,
-                "peer_puts": self.peer_puts,
-                "peer_errors": self.peer_errors,
-                "compiled": self.compiled,
-            },
+            "requests": self.counter_values(),
             "rates": {
                 "qps": round(self.completed / uptime, 3) if uptime > 0 else 0.0,
                 "coalesce_rate": round(self.coalesce_rate, 4),

@@ -17,6 +17,9 @@ stored value is the *deterministic* part of a compile response (the
 :class:`~repro.service.protocol.CompileAnswer` needs to answer a request
 without compiling.
 
+The shard side, :class:`PeerCacheClient`, is an id-demultiplexed
+:class:`~repro.service.endpoint.Link` like the router's shard links.
+
 Peering is an optimization, never a correctness dependency: every client
 here treats a dead, slow or protocol-mismatched peer as a cache **miss**
 (with a cooldown before reconnecting), and the serving path continues by
@@ -32,12 +35,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.service.protocol import (
-    MAX_FRAME_BYTES,
-    ProtocolError,
-    decode_message,
-    encode_message,
-)
+from repro.service.endpoint import Link
+from repro.service.protocol import ProtocolError, decode_message, encode_message
 
 #: Bump on any incompatible change to the peering frames; the ``peer-hello``
 #: handshake rejects mismatched peers instead of misreading their frames.
@@ -353,7 +352,12 @@ async def serve_peering_connection(
 # ---------------------------------------------------------------------------
 
 
-class PeerCacheClient:
+def _accept_peer_hello(reply: Dict[str, Any]) -> None:
+    if parse_peer_hello(reply) != PEERING_VERSION:
+        raise ProtocolError("peering version mismatch", code="protocol")
+
+
+class PeerCacheClient(Link):
     """A shard's connection to the shared tier (lazy, failure-tolerant).
 
     Lives on the shard server's event loop.  The connection is opened on
@@ -371,113 +375,54 @@ class PeerCacheClient:
         timeout: float = PEER_TIMEOUT_SECONDS,
         retry_seconds: float = PEER_RETRY_SECONDS,
     ):
-        self.host = host
-        self.port = port
+        super().__init__(host, port, id_prefix="p")
         self.timeout = timeout
         self.retry_seconds = retry_seconds
         self.gets = 0
         self.hits = 0
         self.puts = 0
-        self.errors = 0
-        self._counter = 0
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
-        self._pending: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
         self._disabled_until = 0.0
         self._connect_lock = asyncio.Lock()
-
-    def _next_id(self) -> str:
-        self._counter += 1
-        return f"p{self._counter}"
 
     async def _ensure_connected(self) -> bool:
         """Open the connection (handshake included) unless in cooldown."""
 
-        if self._writer is not None:
+        if self.connected:
             return True
         if time.monotonic() < self._disabled_until:
             return False
         async with self._connect_lock:
-            if self._writer is not None:
+            if self.connected:
                 return True
             if time.monotonic() < self._disabled_until:
                 return False
             try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(
-                        self.host, self.port, limit=MAX_FRAME_BYTES + 1024
-                    ),
-                    timeout=self.timeout,
-                )
-                writer.write(encode_message(peer_hello_message()))
-                await asyncio.wait_for(writer.drain(), timeout=self.timeout)
-                line = await asyncio.wait_for(reader.readline(), timeout=self.timeout)
-                reply = decode_message(line)
-                if parse_peer_hello(reply) != PEERING_VERSION:
-                    raise ProtocolError("peering version mismatch", code="protocol")
+                await self._connect(peer_hello_message(), _accept_peer_hello, self.timeout)
             except Exception:
                 self.errors += 1
                 self._disabled_until = time.monotonic() + self.retry_seconds
                 return False
-            self._reader = reader
-            self._writer = writer
-            self._reader_task = asyncio.ensure_future(self._read_loop())
             return True
 
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
-        while True:
-            try:
-                line = await self._reader.readline()
-            except (ConnectionResetError, ValueError, asyncio.CancelledError):
-                break
-            if not line:
-                break
-            try:
-                message = decode_message(line)
-            except ProtocolError:
-                self.errors += 1
-                continue
-            future = self._pending.pop(message.get("id"), None)
-            if future is not None and not future.done():
-                future.set_result(message)
-        self._teardown(ConnectionError("peer connection closed"))
-
-    def _teardown(self, exc: BaseException) -> None:
+    def _drop(self, error: BaseException) -> None:
         """Drop the connection, fail in-flight frames, start the cooldown."""
 
-        if self._writer is not None:
-            try:
-                self._writer.close()
-            except Exception:  # pragma: no cover - best-effort close
-                pass
-        self._reader = None
-        self._writer = None
+        self._teardown(error)
         self._disabled_until = time.monotonic() + self.retry_seconds
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
-            if not future.done():
-                future.set_exception(exc)
+
+    def _connection_lost(self) -> None:
+        self._drop(ConnectionError("peer connection closed"))
 
     async def _roundtrip(self, message: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """One frame out, the matching frame back; None on any failure."""
 
         if not await self._ensure_connected():
             return None
-        assert self._writer is not None
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._pending[message["id"]] = future
         try:
-            self._writer.write(encode_message(message))
-            await asyncio.wait_for(self._writer.drain(), timeout=self.timeout)
-            return await asyncio.wait_for(future, timeout=self.timeout)
+            return await self._exchange(message, self.timeout, self.timeout)
         except Exception:
             self.errors += 1
-            self._pending.pop(message["id"], None)
-            self._teardown(ConnectionError("peer round trip failed"))
+            self._drop(ConnectionError("peer round trip failed"))
             return None
 
     async def get(self, key: str) -> Optional[Dict[str, Any]]:
@@ -504,14 +449,7 @@ class PeerCacheClient:
     async def close(self) -> None:
         """Close the connection (idempotent)."""
 
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):  # pragma: no cover
-                pass
-            self._reader_task = None
-        self._teardown(ConnectionError("peer client closed"))
+        await self._close(ConnectionError("peer client closed"))
         # Closing is deliberate: do not serve a cooldown for it.
         self._disabled_until = 0.0
 
@@ -521,7 +459,7 @@ class PeerCacheClient:
         return {
             "host": self.host,
             "port": self.port,
-            "connected": self._writer is not None,
+            "connected": self.connected,
             "gets": self.gets,
             "hits": self.hits,
             "puts": self.puts,

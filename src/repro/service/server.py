@@ -3,7 +3,10 @@
 One resident :class:`CompileServer` process amortizes everything the batch
 pipeline already built — the parallel sharding engine, the content-addressed
 compile cache, the interned scenario registry — across a stream of
-concurrent JSON-lines connections (:mod:`repro.service.protocol`):
+concurrent JSON-lines connections (:mod:`repro.service.protocol`).  The
+connection loop, handshake, send and drain lifecycle are the endpoint core
+it shares with the fleet router (:mod:`repro.service.endpoint`); this
+module is the request pipeline behind it:
 
 * **Admission control** — a bounded queue (``max_queue``).  When it is
   full, new work is rejected *immediately* with an ``overloaded`` error;
@@ -27,6 +30,12 @@ concurrent JSON-lines connections (:mod:`repro.service.protocol`):
   dispatch passes the same store to ``compile_many`` so fresh results are
   written back for the next caller.  Requests may opt out per-request
   (``cache: "bypass"``).
+* **One pipeline for compile and lint** — both kinds pass the same steps
+  (admission, cache front, peer front, coalescing, execution, publish to
+  the fleet tier before any waiter resolves) through one in-flight map;
+  they differ only in a small per-kind table (:class:`_KindSteps`): lint
+  has no admission steps and runs in a worker thread instead of the batch
+  queue.
 * **Graceful drain** — on SIGTERM/SIGINT (or a ``shutdown`` request) the
   server stops admitting (``shutting_down`` errors), finishes every queued
   and in-flight compile, flushes the responses, then closes.
@@ -40,39 +49,25 @@ property the serving test suite (``tests/service/``) pins down.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
-import signal
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.cache.store import CacheSpec, resolve_cache
-from repro.service.health import (
-    METRICS_TEXT_SCHEMA,
-    HealthMonitor,
-    render_metrics_text,
-)
+from repro.service.endpoint import Endpoint
+from repro.service.health import HealthMonitor
 from repro.service.metrics import ServiceMetrics, cache_stats_payload
 from repro.service.policy import PolicyEngine, default_engine
 from repro.service.peering import PeerCacheClient, parse_peer_address
 from repro.service.protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
     CompileAnswer,
-    ProtocolError,
     ResolvedCompile,
     compile_lint_rejection,
-    decode_message,
-    encode_message,
     error_message,
-    hello_message,
     lint_result_message,
-    parse_compile_request,
-    parse_hello,
-    parse_lint_request,
-    resolve_compile_request,
-    resolve_lint_request,
     result_payload,
     run_lint_request,
 )
@@ -87,27 +82,8 @@ DEFAULT_BATCH_MAX_REQUESTS = 16
 #: ... or when this much time has passed since the first waiting entry.
 DEFAULT_BATCH_WINDOW_MS = 10.0
 
-#: Bound on one response write.  A client that stops reading fills its
-#: transport buffer and would otherwise block ``writer.drain()`` forever —
-#: keeping its requests "active" and wedging a graceful drain.  Past this
-#: deadline the connection is closed instead.
-SEND_TIMEOUT_SECONDS = 30.0
-
 #: Default seconds between health ticks (rolling-window feed + policy step).
 DEFAULT_HEALTH_INTERVAL = 1.0
-
-
-def _check_admin_fields(message: Dict[str, Any], kind: str) -> None:
-    """Strictly validate a ``stats``/``metrics``/``shutdown`` message (``id`` only)."""
-
-    unknown = sorted(set(message) - {"type", "id"})
-    if unknown:
-        raise ProtocolError(
-            f"{kind} request has unknown field(s): {', '.join(unknown)}"
-        )
-    request_id = message.get("id")
-    if request_id is not None and not isinstance(request_id, str):
-        raise ProtocolError(f"{kind} request 'id' must be a string")
 
 
 @dataclass
@@ -119,17 +95,53 @@ class _PendingEntry:
     enqueued_at: float
 
 
-@dataclass(eq=False)
-class _Connection:
-    """Per-connection state: the writer, its lock, and handshake status."""
+@dataclass(frozen=True)
+class _KindSteps:
+    """How one request kind differs on its way through the server pipeline.
 
-    reader: asyncio.StreamReader
-    writer: asyncio.StreamWriter
-    write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    greeted: bool = False
+    Lint answers reuse :class:`CompileAnswer` as their record (no pass
+    timings, no batch); only :attr:`message` renders them differently.
+    """
+
+    #: Admission run before any cache lookup; returns a rejection or None.
+    admit: Optional[Callable[[Any], Awaitable[Optional[Dict[str, Any]]]]]
+    #: A local cache entry as an answer, or None if it is not one.
+    from_cache: Callable[[Any, Any], Optional[CompileAnswer]]
+    #: Whether fresh work takes a batch-queue slot (and can find it full).
+    queued: bool
+    #: Start fresh work; its outcome settles the in-flight future.
+    execute: Callable[[Any, "asyncio.Future[CompileAnswer]", float], Awaitable[None]]
+    #: The wire form of an answer to request ``id``.
+    message: Callable[[CompileAnswer, Optional[str]], Dict[str, Any]]
 
 
-class CompileServer:
+def _fresh_status(resolved: Any) -> str:
+    """The cache status of work computed for this request."""
+
+    return "miss" if resolved.request.cache == "use" else "bypass"
+
+
+def _compile_from_cache(resolved: ResolvedCompile, cached: Any) -> Optional[CompileAnswer]:
+    if cached is None:
+        return None
+    return CompileAnswer(
+        result=result_payload(resolved, cached),
+        pass_seconds=dict(cached.pass_seconds),
+        cache_status="hit",
+    )
+
+
+def _lint_from_cache(_resolved: Any, cached: Any) -> Optional[CompileAnswer]:
+    return CompileAnswer(result=cached, cache_status="hit") if isinstance(cached, dict) else None
+
+
+def _lint_message(answer: CompileAnswer, request_id: Optional[str]) -> Dict[str, Any]:
+    return lint_result_message(
+        request_id, answer.result, cache_status=answer.cache_status, coalesced=answer.coalesced
+    )
+
+
+class CompileServer(Endpoint):
     """A compile-as-a-service endpoint over asyncio streams.
 
     Construct, then either ``await start()`` + ``await serve_forever()``
@@ -138,6 +150,9 @@ class CompileServer:
     ``port=0`` binds an ephemeral port; :attr:`port` holds the real one
     after :meth:`start`.
     """
+
+    ROLE = "server"
+    DRAINING_MESSAGE = "server is draining; try another replica"
 
     def __init__(
         self,
@@ -153,8 +168,7 @@ class CompileServer:
         enable_policy: bool = True,
         policy: Optional[PolicyEngine] = None,
     ):
-        if health_interval <= 0:
-            raise ValueError(f"health_interval must be > 0, got {health_interval!r}")
+        super().__init__(host, port, health_interval)
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue!r}")
         if batch_max_requests < 1:
@@ -163,8 +177,6 @@ class CompileServer:
             )
         if batch_window_ms < 0:
             raise ValueError(f"batch_window_ms must be >= 0, got {batch_window_ms!r}")
-        self.host = host
-        self.port = port
         self.workers = workers
         self.cache = resolve_cache(cache)
         self.max_queue = max_queue
@@ -180,7 +192,6 @@ class CompileServer:
         # engine.  The monitor is delta-fed from ``self.metrics`` every
         # ``health_interval`` seconds; the engine's decisions are applied
         # on the spot (shedding) and logged as structured JSON records.
-        self.health_interval = health_interval
         self.health = HealthMonitor(
             counters=tuple(self.metrics.counter_values()),
             gauges=("queue_depth",),
@@ -189,134 +200,60 @@ class CompileServer:
         self.policy_enabled = enable_policy
         self.policy = policy if policy is not None else default_engine()
         self._shedding = False
-        self._health_task: Optional[asyncio.Task] = None
 
-        self._server: Optional[asyncio.base_events.Server] = None
         self._queue: "asyncio.Queue[Optional[_PendingEntry]]" = asyncio.Queue()
-        self._inflight: Dict[str, _PendingEntry] = {}
-        # In-flight lint work, coalesced by (cache policy, lint cache key).
-        # Lint requests never enter the compile queue: they are pure
-        # analysis, answered directly off the event loop.
-        self._lint_inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
-        self._connections: set = set()
+        # One in-flight map for both request kinds, keyed by coalesce key.
+        # Compile and lint cache keys are namespaced apart, so the two
+        # kinds never attach to each other's work.
+        self._inflight: Dict[str, "asyncio.Future[CompileAnswer]"] = {}
         self._batcher_task: Optional[asyncio.Task] = None
-        self._draining = False
-        self._active_requests = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._closed = asyncio.Event()
+        self._steps = {
+            # Compiles pass shedding and the strict-lint gate, then wait in
+            # the batch queue for the dispatcher.
+            "compile": _KindSteps(
+                admit=self._admit_compile,
+                from_cache=_compile_from_cache,
+                queued=True,
+                execute=self._enqueue,
+                message=CompileAnswer.to_message,
+            ),
+            # Lint is pure analysis, answered directly off the event loop.
+            "lint": _KindSteps(
+                admit=None,
+                from_cache=_lint_from_cache,
+                queued=False,
+                execute=self._run_lint,
+                message=_lint_message,
+            ),
+        }
 
     # -- lifecycle ----------------------------------------------------------------
 
     async def start(self) -> None:
         """Bind the listening socket and start the batch dispatcher."""
 
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_FRAME_BYTES + 1024
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._open()
         if self._peer_address is not None:
             # Constructed here (not in __init__) so its primitives bind to
             # the server's running event loop on every Python version.
             self.peer = PeerCacheClient(*self._peer_address)
         self._batcher_task = asyncio.ensure_future(self._batcher())
-        self._health_task = asyncio.ensure_future(self._health_loop())
 
-    async def serve_forever(self) -> None:
-        """Block until the server has fully drained and closed."""
-
-        await self._closed.wait()
-
-    def install_signal_handlers(self) -> None:
-        """Drain gracefully on SIGTERM/SIGINT (POSIX event loops only)."""
-
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self.request_drain)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-
-    def request_drain(self) -> None:
-        """Schedule a graceful drain from synchronous context (signal-safe)."""
-
-        asyncio.ensure_future(self.drain())
-
-    async def drain(self) -> None:
-        """Stop admitting, finish all queued/in-flight work, close everything.
-
-        Idempotent: concurrent callers all wait for the same shutdown to
-        complete.
-        """
-
-        if self._draining:
-            await self._closed.wait()
-            return
-        self._draining = True
-        if self._server is not None:
-            # Stop accepting.  ``wait_closed`` is deliberately NOT awaited
-            # here: on Python >= 3.12 it blocks until every accepted
-            # connection has finished, so awaiting it before we close the
-            # client connections below would deadlock against any idle
-            # client that simply stays connected.
-            self._server.close()
+    async def _drain_work(self) -> None:
         # Every admitted request completes: the batcher keeps dispatching
         # until it sees the sentinel, which is queued *behind* all work.
-        await self._idle.wait()
         await self._queue.put(None)
         if self._batcher_task is not None:
             await self._batcher_task
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
         if self.peer is not None:
             await self.peer.close()
-        for connection in list(self._connections):
-            try:
-                connection.writer.close()
-            except Exception:  # pragma: no cover - best-effort close
-                pass
-        if self._server is not None:
-            try:
-                # All transports are closed now, so this resolves promptly;
-                # the timeout is a belt against handler stragglers.
-                await asyncio.wait_for(self._server.wait_closed(), timeout=5.0)
-            except asyncio.TimeoutError:  # pragma: no cover - defensive
-                pass
-        self._closed.set()
-
-    @property
-    def draining(self) -> bool:
-        """Whether the server has begun a graceful drain."""
-
-        return self._draining
-
-    def stats_snapshot(self) -> Dict[str, Any]:
-        """The metrics snapshot a ``stats`` request is answered with.
-
-        Synchronous variant: the cache disk sweep (a glob plus a ``stat``
-        per entry) runs inline, so call this from tests/tools, not from
-        the event loop — the wire handler and the embedded helper use
-        :meth:`stats_snapshot_async` instead.
-        """
-
-        if self.peer is not None:
-            self.metrics.peer_errors = self.peer.errors
-        snapshot = self.metrics.snapshot(queue_depth=self._queue.qsize())
-        snapshot["draining"] = self._draining
-        snapshot["health"] = self.health.sample()
-        snapshot["policy"] = self._policy_payload()
-        if self.cache is not None:
-            snapshot["cache"] = cache_stats_payload(self.cache)
-        if self.peer is not None:
-            snapshot["peer"] = self.peer.snapshot()
-        return snapshot
 
     async def stats_snapshot_async(self) -> Dict[str, Any]:
-        """:meth:`stats_snapshot` with the cache disk sweep off the loop."""
+        """The metrics snapshot a ``stats`` request is answered with.
+
+        The cache disk sweep (a glob plus a ``stat`` per entry) runs in a
+        worker thread, so a large store never stalls the event loop.
+        """
 
         if self.peer is not None:
             self.metrics.peer_errors = self.peer.errors
@@ -347,14 +284,8 @@ class CompileServer:
 
     # -- health & policy ----------------------------------------------------------
 
-    async def _health_loop(self) -> None:
-        """Tick the health monitor + policy engine every ``health_interval``."""
-
-        while not self._draining:
-            await asyncio.sleep(self.health_interval)
-            if self._draining:
-                return
-            self.health_tick()
+    def _health_step(self) -> None:
+        self.health_tick()
 
     def health_tick(self, now: Optional[float] = None) -> List[Any]:
         """One health/policy tick; returns the decisions it produced.
@@ -401,508 +332,174 @@ class CompileServer:
             "recent": [decision.payload() for decision in self.policy.log[-5:]],
         }
 
-    # -- request bookkeeping ------------------------------------------------------
+    # -- the request pipeline -----------------------------------------------------
 
-    def _request_started(self) -> None:
-        self._active_requests += 1
-        self._idle.clear()
+    async def _respond(
+        self,
+        kind: str,
+        message: Dict[str, Any],
+        request: Any,
+        resolved: Any,
+        arrived: float,
+    ) -> Dict[str, Any]:
+        """Answer one resolved request; the endpoint core did parse → drain check.
 
-    def _request_finished(self) -> None:
-        self._active_requests -= 1
-        if self._active_requests == 0:
-            self._idle.set()
-
-    # -- the connection handler ---------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _Connection(reader=reader, writer=writer)
-        self._connections.add(connection)
-        # Completed tasks discard themselves: a long-lived connection must
-        # not accumulate one Task object per request it ever served.
-        tasks: set = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ConnectionResetError:
-                    break
-                except (ValueError, asyncio.IncompleteReadError):
-                    # ``readline`` reports an over-limit line as ValueError
-                    # (it wraps LimitOverrunError).  The stream cannot be
-                    # re-synchronized after that, so report and drop the
-                    # connection.
-                    self.metrics.protocol_errors += 1
-                    self.metrics.errors += 1
-                    await self._send(
-                        connection,
-                        error_message(
-                            "protocol",
-                            f"frame exceeds {MAX_FRAME_BYTES} bytes or the "
-                            "stream is malformed; closing",
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    message = decode_message(line)
-                except ProtocolError as exc:
-                    self.metrics.protocol_errors += 1
-                    self.metrics.errors += 1
-                    await self._send(connection, error_message("bad_request", str(exc)))
-                    continue
-                if not connection.greeted:
-                    if not await self._handshake(connection, message):
-                        break
-                    continue
-                kind = message.get("type")
-                if kind in ("compile", "lint"):
-                    # Handled concurrently so one long compile does not
-                    # stall pipelined requests on the same connection.
-                    handler = (
-                        self._handle_compile if kind == "compile" else self._handle_lint
-                    )
-                    task = asyncio.ensure_future(handler(connection, message))
-                    tasks.add(task)
-                    task.add_done_callback(tasks.discard)
-                elif kind in ("stats", "metrics", "shutdown"):
-                    try:
-                        _check_admin_fields(message, kind)
-                    except ProtocolError as exc:
-                        self.metrics.protocol_errors += 1
-                        self.metrics.errors += 1
-                        await self._send(
-                            connection,
-                            error_message("bad_request", str(exc), message.get("id")),
-                        )
-                        continue
-                    if kind == "stats":
-                        await self._send(
-                            connection,
-                            {
-                                "type": "stats",
-                                "id": message.get("id"),
-                                "stats": await self.stats_snapshot_async(),
-                            },
-                        )
-                    elif kind == "metrics":
-                        await self._send(
-                            connection,
-                            {
-                                "type": "metrics",
-                                "id": message.get("id"),
-                                "schema": METRICS_TEXT_SCHEMA,
-                                "text": render_metrics_text(
-                                    await self.stats_snapshot_async()
-                                ),
-                            },
-                        )
-                    else:
-                        await self._send(
-                            connection, {"type": "ok", "id": message.get("id")}
-                        )
-                        self.request_drain()
-                else:
-                    self.metrics.protocol_errors += 1
-                    self.metrics.errors += 1
-                    await self._send(
-                        connection,
-                        error_message(
-                            "bad_request",
-                            f"unknown message type {kind!r}",
-                            message.get("id") if isinstance(message.get("id"), str) else None,
-                        ),
-                    )
-        except ConnectionResetError:  # pragma: no cover - peer vanished
-            pass
-        finally:
-            if tasks:
-                await asyncio.gather(*list(tasks), return_exceptions=True)
-            self._connections.discard(connection)
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - best-effort close
-                pass
-
-    async def _handshake(self, connection: _Connection, message: Dict[str, Any]) -> bool:
-        """Process the first client message; returns False to drop the link."""
-
-        try:
-            if message.get("type") != "hello":
-                raise ProtocolError(
-                    "first message must be a 'hello' handshake", code="protocol"
-                )
-            version = parse_hello(message)
-        except ProtocolError as exc:
-            self.metrics.protocol_errors += 1
-            self.metrics.errors += 1
-            await self._send(connection, error_message("protocol", str(exc)))
-            return False
-        if version != PROTOCOL_VERSION:
-            self.metrics.protocol_errors += 1
-            self.metrics.errors += 1
-            await self._send(
-                connection,
-                error_message(
-                    "protocol",
-                    f"protocol version mismatch: client speaks {version}, "
-                    f"server speaks {PROTOCOL_VERSION}",
-                ),
-            )
-            return False
-        connection.greeted = True
-        await self._send(connection, hello_message(server_info=self.describe()))
-        return True
-
-    async def _send(self, connection: _Connection, message: Dict[str, Any]) -> None:
-        """Serialize and write one message under the connection's lock.
-
-        Bounded: a peer that stops reading cannot block the server — after
-        :data:`SEND_TIMEOUT_SECONDS` the connection is closed and the
-        write abandoned (the request still counts as finished, so a stuck
-        client can never wedge a graceful drain).
+        admission → cache front → peer front → coalesce, or execute and
+        publish → answer.  Compile and lint requests differ only in their
+        :class:`_KindSteps`.
         """
 
-        payload = encode_message(message)
-        async with connection.write_lock:
-            try:
-                connection.writer.write(payload)
-                await asyncio.wait_for(
-                    connection.writer.drain(), timeout=SEND_TIMEOUT_SECONDS
-                )
-            except asyncio.TimeoutError:
-                try:
-                    connection.writer.close()
-                except Exception:  # pragma: no cover - best-effort close
-                    pass
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-
-    # -- compile requests ---------------------------------------------------------
-
-    async def _handle_compile(
-        self, connection: _Connection, message: Dict[str, Any]
-    ) -> None:
-        self.metrics.received += 1
-        self._request_started()
-        arrived = time.monotonic()
-        request_id = message.get("id") if isinstance(message.get("id"), str) else None
-        try:
-            try:
-                request = parse_compile_request(message)
-                request_id = request.id
-                # Resolution can be real work (IR parsing/verification,
-                # scenario generation, fingerprinting): keep it off the
-                # event loop so big requests do not stall other
-                # connections.
-                resolved = await asyncio.to_thread(resolve_compile_request, request)
-            except ProtocolError as exc:
-                self.metrics.protocol_errors += 1
-                self.metrics.errors += 1
-                await self._send(
-                    connection, error_message(exc.code, str(exc), request_id)
-                )
-                return
-            except Exception as exc:
-                # A resolution bug must answer the request, not strand the
-                # client until its timeout.
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message(
-                        "internal",
-                        f"request resolution failed: {type(exc).__name__}: {exc}",
-                        request_id,
-                    ),
-                )
-                return
-
-            if self._draining:
-                self.metrics.rejected_shutting_down += 1
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message(
-                        "shutting_down", "server is draining; try another replica",
-                        request_id,
-                    ),
-                )
-                return
-
-            # Policy-driven load shedding: below the queue-full bound, the
-            # shed-load rule can reject at admission while the windowed
-            # queue-depth peak stays above its threshold.  The rejection
-            # reuses the ``overloaded`` error code, so clients back off
-            # and retry exactly as for a full queue.
-            if self._shedding:
-                self.metrics.rejected_shed += 1
-                self.metrics.rejected_overloaded += 1
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message(
-                        "overloaded",
-                        "admission shedding is active (queue pressure); "
-                        "retry with backoff",
-                        request_id,
-                    ),
-                )
-                return
-
-            # Strict-lint gate: reject IR with error-severity diagnostics
-            # before it consumes a cache lookup, a queue slot or a compile.
-            # The rejection payload is the same structured report the
-            # pipeline's LintError and the CLI's --json mode carry.
-            if request.lint == "strict":
-                rejection = await asyncio.to_thread(compile_lint_rejection, resolved)
-                if rejection is not None:
-                    self.metrics.errors += 1
-                    await self._send(
-                        connection,
-                        error_message(
-                            "lint_rejected",
-                            "lint found error-severity diagnostics",
-                            request_id,
-                            diagnostics=rejection,
-                        ),
-                    )
-                    return
-
-            # Cache front: answer admitted-but-already-compiled work
-            # immediately, without a queue slot or a batch.  The lookup
-            # (a pickle read on a miss-from-memory) runs off the loop; the
-            # store is thread-safe.
-            if request.cache == "use" and self.cache is not None:
-                cached = await asyncio.to_thread(self.cache.get, resolved.cache_key)
-                if cached is not None:
-                    answer = CompileAnswer(
-                        result=result_payload(resolved, cached),
-                        pass_seconds=dict(cached.pass_seconds),
-                        cache_status="hit",
-                        queue_ms=0.0,
-                        compile_ms=0.0,
-                    )
-                    self.metrics.cache_hits += 1
-                    self._complete(arrived)
-                    await self._send(connection, answer.to_message(request_id))
-                    return
-
-            # Shared-tier front: another shard may already have compiled
-            # this key.  A peer failure is just a miss (the client never
-            # raises), so this adds no correctness dependency.
-            if request.cache == "use" and self.peer is not None:
-                entry_payload = await self.peer.get(resolved.cache_key)
-                if entry_payload is not None:
-                    answer = CompileAnswer(
-                        result=dict(entry_payload["result"]),
-                        pass_seconds=dict(entry_payload["pass_seconds"]),
-                        cache_status="peer",
-                        queue_ms=0.0,
-                        compile_ms=0.0,
-                    )
-                    self.metrics.peer_hits += 1
-                    self._complete(arrived)
-                    await self._send(connection, answer.to_message(request_id))
-                    return
-
-            coalesced = False
-            entry = self._inflight.get(resolved.coalesce_key)
-            if entry is not None:
-                # Identical in-flight work: attach, compile nothing.
-                coalesced = True
-            else:
-                if self._queue.qsize() >= self.max_queue:
+        steps = self._steps[kind]
+        if steps.admit is not None:
+            rejection = await steps.admit(resolved)
+            if rejection is not None:
+                return rejection
+        answer = await self._cached_answer(steps, resolved)
+        if answer is None:
+            key = resolved.coalesce_key
+            future = self._inflight.get(key)
+            coalesced = future is not None
+            if future is None:
+                if steps.queued and self._queue.qsize() >= self.max_queue:
                     self.metrics.rejected_overloaded += 1
-                    self.metrics.errors += 1
-                    await self._send(
-                        connection,
-                        error_message(
-                            "overloaded",
-                            f"admission queue is full ({self.max_queue} entries); "
-                            "retry with backoff",
-                            request_id,
-                        ),
+                    return error_message(
+                        "overloaded",
+                        f"admission queue is full ({self.max_queue} entries); "
+                        "retry with backoff",
+                        request.id,
                     )
-                    return
-                entry = _PendingEntry(
-                    resolved=resolved,
-                    future=asyncio.get_running_loop().create_future(),
-                    enqueued_at=arrived,
-                )
-                self._inflight[resolved.coalesce_key] = entry
-                self._queue.put_nowait(entry)
-                self.metrics.observe_queue_depth(self._queue.qsize())
-
+                future = asyncio.get_running_loop().create_future()
+                self._inflight[key] = future
+                await steps.execute(resolved, future, arrived)
             try:
-                answer = await entry.future
+                answer = await future
             except Exception as exc:
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message("internal", f"compile failed: {exc}", request_id),
-                )
-                return
+                return error_message("internal", f"{kind} failed: {exc}", request.id)
             if coalesced:
-                answer = CompileAnswer(
-                    result=answer.result,
-                    pass_seconds=answer.pass_seconds,
-                    cache_status=answer.cache_status,
-                    coalesced=True,
-                    batch_size=answer.batch_size,
-                    queue_ms=answer.queue_ms,
-                    compile_ms=answer.compile_ms,
-                )
+                # Identical in-flight work: attached, computed nothing.
+                answer = dataclasses.replace(answer, coalesced=True)
                 self.metrics.coalesced += 1
-            self._complete(arrived)
-            await self._send(connection, answer.to_message(request_id))
-        finally:
-            self._request_finished()
+        return steps.message(answer, request.id)
 
-    # -- lint requests ------------------------------------------------------------
+    async def _admit_compile(self, resolved: ResolvedCompile) -> Optional[Dict[str, Any]]:
+        """Compile-only admission: policy shedding, then the strict-lint gate."""
 
-    async def _handle_lint(
-        self, connection: _Connection, message: Dict[str, Any]
+        # Policy-driven load shedding: below the queue-full bound, the
+        # shed-load rule can reject at admission while the windowed
+        # queue-depth peak stays above its threshold.  The rejection
+        # reuses the ``overloaded`` error code, so clients back off and
+        # retry exactly as for a full queue.
+        if self._shedding:
+            self.metrics.rejected_shed += 1
+            self.metrics.rejected_overloaded += 1
+            return error_message(
+                "overloaded",
+                "admission shedding is active (queue pressure); retry with backoff",
+                resolved.request.id,
+            )
+        # Strict-lint gate: reject IR with error-severity diagnostics before
+        # it consumes a cache lookup, a queue slot or a compile.  The
+        # rejection payload is the same structured report the pipeline's
+        # LintError and the CLI's --json mode carry.
+        if resolved.request.lint == "strict":
+            rejection = await asyncio.to_thread(compile_lint_rejection, resolved)
+            if rejection is not None:
+                return error_message(
+                    "lint_rejected",
+                    "lint found error-severity diagnostics",
+                    resolved.request.id,
+                    diagnostics=rejection,
+                )
+        return None
+
+    async def _cached_answer(
+        self, steps: _KindSteps, resolved: Any
+    ) -> Optional[CompileAnswer]:
+        """The cache front, then the shared-tier front; None if both miss."""
+
+        if resolved.request.cache != "use":
+            return None
+        # Admitted-but-already-computed work is answered without a queue
+        # slot or a batch.  The lookup (a pickle read on a miss-from-memory)
+        # runs off the loop; the store is thread-safe.
+        if self.cache is not None:
+            cached = await asyncio.to_thread(self.cache.get, resolved.cache_key)
+            answer = steps.from_cache(resolved, cached)
+            if answer is not None:
+                self.metrics.cache_hits += 1
+                return answer
+        # Another shard may already have computed this key.  A peer failure
+        # is just a miss (the client never raises), so this adds no
+        # correctness dependency.
+        if self.peer is not None:
+            entry = await self.peer.get(resolved.cache_key)
+            if entry is not None:
+                self.metrics.peer_hits += 1
+                return CompileAnswer(
+                    result=dict(entry["result"]),
+                    pass_seconds=dict(entry["pass_seconds"]),
+                    cache_status="peer",
+                )
+        return None
+
+    async def _enqueue(
+        self, resolved: ResolvedCompile, future: "asyncio.Future[CompileAnswer]", arrived: float
     ) -> None:
-        """Answer one ``lint`` request: cache front, coalesce, analyse.
+        """Compile executor: queue the entry for the batch dispatcher."""
 
-        Lint reports are pure functions of the resolved inputs, so the
-        request reuses the compile machinery's guarantees — shared cache
-        (keys namespaced ``kind="lint"``), in-flight coalescing, and the
-        fleet tier — without ever entering the compile batch queue.
+        self._queue.put_nowait(
+            _PendingEntry(resolved=resolved, future=future, enqueued_at=arrived)
+        )
+        self.metrics.observe_queue_depth(self._queue.qsize())
+
+    async def _run_lint(
+        self, resolved: Any, future: "asyncio.Future[CompileAnswer]", _arrived: float
+    ) -> None:
+        """Lint executor: analyse off the loop, store the report, settle."""
+
+        try:
+            payload = await asyncio.to_thread(run_lint_request, resolved)
+            if resolved.request.cache == "use" and self.cache is not None:
+                await asyncio.to_thread(self.cache.put, resolved.cache_key, payload)
+        except Exception as exc:
+            outcome = (RuntimeError(f"{type(exc).__name__}: {exc}"), None)
+        else:
+            outcome = (None, CompileAnswer(result=payload, cache_status=_fresh_status(resolved)))
+        await self._settle([(resolved, future, *outcome)])
+
+    async def _settle(self, completions: List[Tuple[Any, Any, Any, Any]]) -> None:
+        """Publish fresh answers to the fleet tier, then resolve their waiters.
+
+        ``completions`` holds ``(resolved, future, error, answer)`` tuples.
+        Publishing BEFORE resolving any future is what makes the fleet-wide
+        single-compile guarantee airtight: once a client (or the router)
+        sees an answer, the tier already holds it, so a duplicate arriving
+        after the entry leaves the in-flight map can never slip between
+        "no longer coalescible" and "not yet in the tier" and recompute.
+        Entries stay in ``_inflight`` meanwhile, so duplicates arriving
+        *during* the put still coalesce.
         """
 
-        self.metrics.received += 1
-        self._request_started()
-        arrived = time.monotonic()
-        request_id = message.get("id") if isinstance(message.get("id"), str) else None
-        try:
-            try:
-                request = parse_lint_request(message)
-                request_id = request.id
-                resolved = await asyncio.to_thread(resolve_lint_request, request)
-            except ProtocolError as exc:
-                self.metrics.protocol_errors += 1
-                self.metrics.errors += 1
-                await self._send(
-                    connection, error_message(exc.code, str(exc), request_id)
+        if self.peer is not None:
+            puts = [
+                self.peer.put(
+                    resolved.cache_key,
+                    {"result": dict(answer.result), "pass_seconds": dict(answer.pass_seconds)},
                 )
-                return
-            except Exception as exc:
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message(
-                        "internal",
-                        f"request resolution failed: {type(exc).__name__}: {exc}",
-                        request_id,
-                    ),
-                )
-                return
-
-            if self._draining:
-                self.metrics.rejected_shutting_down += 1
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message(
-                        "shutting_down", "server is draining; try another replica",
-                        request_id,
-                    ),
-                )
-                return
-
-            use_cache = request.cache == "use"
-            if use_cache and self.cache is not None:
-                cached = await asyncio.to_thread(self.cache.get, resolved.cache_key)
-                if isinstance(cached, dict):
-                    self.metrics.cache_hits += 1
-                    self._complete(arrived)
-                    await self._send(
-                        connection,
-                        lint_result_message(request_id, cached, cache_status="hit"),
-                    )
-                    return
-            if use_cache and self.peer is not None:
-                entry_payload = await self.peer.get(resolved.cache_key)
-                if entry_payload is not None:
-                    self.metrics.peer_hits += 1
-                    self._complete(arrived)
-                    await self._send(
-                        connection,
-                        lint_result_message(
-                            request_id,
-                            entry_payload["result"],
-                            cache_status="peer",
-                        ),
-                    )
-                    return
-
-            coalesced = False
-            future = self._lint_inflight.get(resolved.coalesce_key)
-            if future is not None:
-                coalesced = True
+                for resolved, _future, _error, answer in completions
+                if answer is not None and resolved.request.cache == "use"
+            ]
+            if puts:
+                self.metrics.peer_puts += len(puts)
+                await asyncio.gather(*puts)
+        for resolved, future, error, answer in completions:
+            self._inflight.pop(resolved.coalesce_key, None)
+            if future.done():  # pragma: no cover - defensive
+                continue
+            if error is not None:
+                future.set_exception(error)
             else:
-                future = asyncio.get_running_loop().create_future()
-                self._lint_inflight[resolved.coalesce_key] = future
-                try:
-                    payload = await asyncio.to_thread(run_lint_request, resolved)
-                except Exception as exc:
-                    self._lint_inflight.pop(resolved.coalesce_key, None)
-                    if not future.done():
-                        future.set_exception(
-                            RuntimeError(f"lint failed: {type(exc).__name__}: {exc}")
-                        )
-                        # Awaited below with the waiters; consume the
-                        # exception there.
-                else:
-                    if use_cache and self.cache is not None:
-                        await asyncio.to_thread(
-                            self.cache.put, resolved.cache_key, payload
-                        )
-                    # Publish to the fleet tier before resolving waiters,
-                    # same ordering discipline as compile dispatch.
-                    if use_cache and self.peer is not None:
-                        self.metrics.peer_puts += 1
-                        await self.peer.put(
-                            resolved.cache_key, {"result": payload, "pass_seconds": {}}
-                        )
-                    self._lint_inflight.pop(resolved.coalesce_key, None)
-                    if not future.done():
-                        future.set_result(payload)
-
-            try:
-                payload = await future
-            except Exception as exc:
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message("internal", str(exc), request_id),
-                )
-                return
-            if coalesced:
-                self.metrics.coalesced += 1
-            status = "miss" if use_cache else "bypass"
-            self._complete(arrived)
-            await self._send(
-                connection,
-                lint_result_message(
-                    request_id, payload, cache_status=status, coalesced=coalesced
-                ),
-            )
-        finally:
-            self._request_finished()
-
-    def _complete(self, arrived: float) -> None:
-        """Account a successfully answered compile request."""
-
-        self.metrics.completed += 1
-        latency_ms = (time.monotonic() - arrived) * 1000.0
-        self.metrics.latency_ms.record(latency_ms)
-        self.health.observe_latency(latency_ms)
+                future.set_result(answer)
 
     # -- the batch dispatcher -----------------------------------------------------
 
@@ -964,68 +561,30 @@ class CompileServer:
             outcomes = await asyncio.to_thread(self._compile_groups, grouped)
 
             compile_ms = (time.monotonic() - dispatch_start) * 1000.0
-            completions: List[Tuple[_PendingEntry, Optional[BaseException], Optional[CompileAnswer]]] = []
+            completions = []
             for (options, entries), outcome in zip(grouped, outcomes):
                 kind, value = outcome
                 for position, entry in enumerate(entries):
                     self.metrics.compile_ms.record(compile_ms)
                     if kind == "error":
-                        completions.append((entry, RuntimeError(str(value)), None))
-                        continue
-                    try:
-                        compiled = value[position]
-                        answer = CompileAnswer(
-                            result=result_payload(entry.resolved, compiled),
-                            pass_seconds=dict(compiled.pass_seconds),
-                            cache_status=(
-                                "miss"
-                                if entry.resolved.request.cache == "use"
-                                else "bypass"
-                            ),
-                            batch_size=len(batch),
-                            queue_ms=(dispatch_start - entry.enqueued_at) * 1000.0,
-                            compile_ms=compile_ms,
-                        )
-                    except Exception as exc:
-                        completions.append(
-                            (entry, RuntimeError(f"result fan-out failed: {exc}"), None)
-                        )
-                        continue
-                    completions.append((entry, None, answer))
-
-            # Publish fresh results to the fleet tier BEFORE resolving any
-            # future.  Ordering is what makes the fleet-wide single-compile
-            # guarantee airtight: once a client (or the router) sees this
-            # answer, the tier already holds the entry, so a duplicate
-            # arriving after we leave the in-flight table can never slip
-            # between "no longer coalescible" and "not yet in the tier" and
-            # recompile.  Entries stay in ``_inflight`` meanwhile, so
-            # duplicates arriving *during* the put still coalesce.
-            if self.peer is not None:
-                puts = [
-                    self.peer.put(
-                        entry.resolved.cache_key,
-                        {
-                            "result": dict(answer.result),
-                            "pass_seconds": dict(answer.pass_seconds),
-                        },
-                    )
-                    for entry, _exc, answer in completions
-                    if answer is not None and entry.resolved.request.cache == "use"
-                ]
-                if puts:
-                    self.metrics.peer_puts += len(puts)
-                    await asyncio.gather(*puts)
-
-            for entry, exc, answer in completions:
-                self._inflight.pop(entry.resolved.coalesce_key, None)
-                if entry.future.done():  # pragma: no cover - defensive
-                    continue
-                if exc is not None:
-                    entry.future.set_exception(exc)
-                    continue
-                self.metrics.compiled += 1
-                entry.future.set_result(answer)
+                        error, answer = RuntimeError(str(value)), None
+                    else:
+                        try:
+                            compiled = value[position]
+                            error, answer = None, CompileAnswer(
+                                result=result_payload(entry.resolved, compiled),
+                                pass_seconds=dict(compiled.pass_seconds),
+                                cache_status=_fresh_status(entry.resolved),
+                                batch_size=len(batch),
+                                queue_ms=(dispatch_start - entry.enqueued_at) * 1000.0,
+                                compile_ms=compile_ms,
+                            )
+                        except Exception as exc:
+                            error = RuntimeError(f"result fan-out failed: {exc}")
+                            answer = None
+                    completions.append((entry.resolved, entry.future, error, answer))
+            await self._settle(completions)
+            self.metrics.compiled += sum(answer is not None for *_rest, answer in completions)
         except Exception as exc:
             # Never let a dispatch bug strand the batch (or, worse, kill
             # the batcher): fail every unresolved future.

@@ -18,6 +18,7 @@ The paper defines two cost models:
 from __future__ import annotations
 
 import abc
+import math
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.ir.cfg import EdgeKind, FunctionCFG
@@ -144,10 +145,15 @@ class CostModel(abc.ABC):
         srset: SaveRestoreSet,
         jump_sharing: Optional[Mapping[EdgeKey, int]] = None,
     ) -> float:
-        """Total cost of a save/restore set."""
+        """Total cost of a save/restore set.
+
+        Summed with :func:`math.fsum`: ``srset.locations`` is a frozenset
+        whose iteration order depends on ``PYTHONHASHSEED``, and a plain
+        float sum could then tip a cost comparison by one ulp either way.
+        """
 
         sharing = jump_sharing if srset.initial else None
-        return sum(
+        return math.fsum(
             self.location_cost(function, profile, location, sharing)
             for location in srset.locations
         )
@@ -232,7 +238,7 @@ class JumpEdgeCostModel(CostModel):
             return super().set_cost(function, profile, srset, jump_sharing)
         cfg = function.cfg()
         sharing = jump_sharing if srset.initial else None
-        total = 0.0
+        costs = []
         for location in srset.locations:
             count = profile.edge_count(location.edge)
             cost = count * self.location_weight(location)
@@ -241,8 +247,9 @@ class JumpEdgeCostModel(CostModel):
                 if sharing is not None:
                     share = max(1, sharing.get(location.edge, 1))
                 cost += count * self._jump_weight / share
-            total += cost
-        return total
+            costs.append(cost)
+        # Order-independent, like the generic path (see CostModel.set_cost).
+        return math.fsum(costs)
 
 
 def make_cost_model(

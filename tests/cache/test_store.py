@@ -4,7 +4,12 @@ import pickle
 
 import pytest
 
-from repro.cache.store import CACHE_VERSION, CompileCache, resolve_cache
+from repro.cache.store import (
+    CACHE_VERSION,
+    COMPILER_SEMANTICS_VERSION,
+    CompileCache,
+    resolve_cache,
+)
 
 
 KEY = "ab" + "0" * 62  # hex-digest-shaped key, shard "ab"
@@ -60,7 +65,14 @@ class TestCorruption:
         path = cache._path(KEY)
         path.parent.mkdir(parents=True)
         path.write_bytes(
-            pickle.dumps({"schema": CACHE_VERSION + 1, "key": KEY, "value": "stale"})
+            pickle.dumps(
+                {
+                    "schema": CACHE_VERSION + 1,
+                    "semantics": COMPILER_SEMANTICS_VERSION,
+                    "key": KEY,
+                    "value": "stale",
+                }
+            )
         )
         assert cache.get(KEY) is None
         assert cache.stats.corrupt == 1
@@ -70,7 +82,14 @@ class TestCorruption:
         path = cache._path(KEY)
         path.parent.mkdir(parents=True)
         path.write_bytes(
-            pickle.dumps({"schema": CACHE_VERSION, "key": OTHER, "value": "aliased"})
+            pickle.dumps(
+                {
+                    "schema": CACHE_VERSION,
+                    "semantics": COMPILER_SEMANTICS_VERSION,
+                    "key": OTHER,
+                    "value": "aliased",
+                }
+            )
         )
         assert cache.get(KEY) is None
         assert cache.stats.corrupt == 1
