@@ -16,7 +16,18 @@ Node = Hashable
 
 
 class DominatorTree:
-    """The immediate-dominator relation for nodes reachable from the root."""
+    """The immediate-dominator relation for nodes reachable from the root.
+
+    ``dominates``, ``strictly_dominates`` and ``depth`` take O(1) time.  They
+    read a DFS numbering of the tree: every node gets its preorder index
+    ``pre`` and the end ``end`` of its subtree's preorder range, so
+
+        ``a`` dominates ``b``  iff  ``pre[a] <= pre[b] < end[a]``
+
+    and the nodes ``a`` dominates are the preorder slice ``[pre[a], end[a])``.
+    The numbering (with each node's depth) is built on the first such query,
+    in one O(n) pass: most trees an analysis builds are never queried.
+    """
 
     def __init__(self, root: Node, idom: Dict[Node, Optional[Node]], rpo_index: Dict[Node, int]):
         self.root = root
@@ -26,6 +37,30 @@ class DominatorTree:
         for node, parent in idom.items():
             if parent is not None and node != root:
                 self._children.setdefault(parent, []).append(node)
+        #: ``(pre, end, depth, preorder)``: ``pre`` maps a node to its
+        #: preorder index; ``end`` and ``depth`` are indexed by it.
+        self._numbering: Optional[Tuple[Dict[Node, int], List[int], List[int], List[Node]]] = None
+
+    def _number(self) -> Tuple[Dict[Node, int], List[int], List[int], List[Node]]:
+        children = self._children
+        preorder: List[Node] = []
+        depth: List[int] = []
+        stack: List[Tuple[Node, int]] = [(self.root, 0)]
+        while stack:
+            node, level = stack.pop()
+            preorder.append(node)
+            depth.append(level)
+            # Reversed, so children keep their order in the preorder.
+            stack.extend((child, level + 1) for child in reversed(children.get(node, ())))
+        pre = {node: index for index, node in enumerate(preorder)}
+        end = list(range(1, len(preorder) + 1))
+        idom = self._idom
+        for index in range(len(preorder) - 1, 0, -1):
+            parent = pre[idom[preorder[index]]]
+            if end[index] > end[parent]:
+                end[parent] = end[index]
+        self._numbering = (pre, end, depth, preorder)
+        return self._numbering
 
     # -- queries ------------------------------------------------------------------
 
@@ -44,16 +79,18 @@ class DominatorTree:
         return list(self._children.get(node, []))
 
     def dominates(self, a: Node, b: Node) -> bool:
-        """True when ``a`` dominates ``b`` (reflexive)."""
+        """True when ``a`` dominates ``b`` (reflexive).
 
-        node: Optional[Node] = b
-        while node is not None:
-            if node == a:
-                return True
-            if node == self.root:
-                return False
-            node = self._idom[node]
-        return False
+        ``b`` outside the tree raises ``KeyError`` unless it equals ``a``;
+        ``a`` outside the tree dominates nothing but itself.
+        """
+
+        if a == b:
+            return True
+        pre, end, _depth, _order = self._numbering or self._number()
+        index = pre[b]
+        start = pre.get(a)
+        return start is not None and start <= index < end[start]
 
     def strictly_dominates(self, a: Node, b: Node) -> bool:
         return a != b and self.dominates(a, b)
@@ -71,7 +108,27 @@ class DominatorTree:
         return result
 
     def depth(self, node: Node) -> int:
-        return len(self.dominators_of(node)) - 1
+        """Edges between ``node`` and the root; ``KeyError`` outside the tree."""
+
+        pre, _end, depth, _order = self._numbering or self._number()
+        return depth[pre[node]]
+
+    def interval(self, node: Node) -> Tuple[int, int]:
+        """The half-open preorder range of the nodes ``node`` dominates."""
+
+        pre, end, _depth, _order = self._numbering or self._number()
+        start = pre[node]
+        return start, end[start]
+
+    def preorder_index(self, node: Node) -> int:
+        pre = (self._numbering or self._number())[0]
+        return pre[node]
+
+    def subtree(self, node: Node) -> List[Node]:
+        """The nodes ``node`` dominates (itself first), in preorder."""
+
+        start, stop = self.interval(node)
+        return self._numbering[3][start:stop]
 
     def __contains__(self, node: Node) -> bool:
         return node in self._idom
@@ -146,8 +203,25 @@ class EdgeDominance:
         self._dom = compute_dominators_of_graph(graph, entry_node)
         self._postdom = compute_dominators_of_graph(graph.reversed(), exit_node)
 
+    @property
+    def dominators(self) -> DominatorTree:
+        """Dominator tree of the edge-split graph."""
+
+        return self._dom
+
+    @property
+    def postdominators(self) -> DominatorTree:
+        """Post-dominator tree of the edge-split graph."""
+
+        return self._postdom
+
     def node_for(self, edge_key: Tuple[str, str]) -> Node:
         return self._edge_nodes[edge_key]
+
+    def depth(self, edge_key: Tuple[str, str]) -> int:
+        """Depth of the edge in the edge dominator tree (the virtual entry edge is 0)."""
+
+        return self._dom.depth(self.node_for(edge_key))
 
     def block_node(self, label: str) -> Node:
         return ("block", label)

@@ -63,10 +63,17 @@ class Region:
 class ProgramStructureTree:
     """The PST of one function."""
 
-    def __init__(self, function: Function, root: Region, regions: List[Region]):
+    def __init__(
+        self,
+        function: Function,
+        root: Region,
+        regions: List[Region],
+        innermost: Dict[str, Region],
+    ):
         self.function = function
         self.root = root
         self._regions = regions  # includes the root, ordered by construction
+        self._innermost = innermost  # block label -> innermost region
 
     # -- queries ------------------------------------------------------------------
 
@@ -84,13 +91,13 @@ class ProgramStructureTree:
         return len(self._regions)
 
     def smallest_region_containing(self, label: str) -> Region:
-        """The innermost region whose block set contains ``label``."""
+        """The innermost region whose block set contains ``label``.
 
-        best = self.root
-        for region in self._regions:
-            if label in region.blocks and len(region.blocks) < len(best.blocks):
-                best = region
-        return best
+        Among equal-sized candidates, the first in :meth:`regions` order; the
+        root for a label no region contains.
+        """
+
+        return self._innermost.get(label, self.root)
 
     def topological_order(self) -> List[Region]:
         """Regions ordered children-before-parents (the traversal the paper uses).
@@ -155,18 +162,35 @@ def build_pst(function: Function, maximal: bool = True) -> ProgramStructureTree:
     # already represents it and its boundaries are the procedure entry/exit.
     regions = [r for r in regions if r.blocks != root.blocks]
 
-    # Establish nesting: the parent of a region is the smallest region whose
-    # block set strictly contains it; the root catches everything else.
     by_size = sorted(regions, key=lambda r: len(r.blocks))
-    for region in by_size:
-        candidates = [
-            other
-            for other in by_size
-            if other is not region and region.blocks < other.blocks
-        ]
-        parent = min(candidates, key=lambda r: len(r.blocks)) if candidates else root
-        region.parent = parent
-        parent.children.append(region)
+    innermost = _nest(root, by_size)
+    return ProgramStructureTree(function, root, [root] + by_size, innermost)
 
-    all_regions = [root] + by_size
-    return ProgramStructureTree(function, root, all_regions)
+
+def _nest(root: Region, by_size: List[Region]) -> Dict[str, Region]:
+    """Set every region's parent and children; map every block to its innermost region.
+
+    The parent of a region is the first region in ``by_size`` order whose
+    block set strictly contains it (the smallest such; the root when there is
+    none).  Regions are visited largest first, so when a region is reached
+    ``innermost`` maps each block to the smallest region seen so far that
+    holds it (the earliest in ``by_size`` order among equals).  If that
+    region, for any one of the region's blocks, holds all of the region's
+    blocks, it is the parent, or a region with the same blocks whose parent
+    is.  Only a region straddling two others (never a SESE region of a
+    well-formed flowgraph: those nest or are disjoint) needs the scan.
+    """
+
+    innermost: Dict[str, Region] = dict.fromkeys(root.blocks, root)
+    for region in reversed(by_size):
+        parent = innermost[next(iter(region.blocks))]
+        if parent.blocks == region.blocks:
+            parent = parent.parent
+        elif not region.blocks < parent.blocks:
+            parent = next((o for o in by_size if region.blocks < o.blocks), root)
+        region.parent = parent
+        innermost.update(dict.fromkeys(region.blocks, region))
+    # Children in ``by_size`` order, as they were always appended.
+    for region in by_size:
+        region.parent.children.append(region)
+    return innermost

@@ -130,12 +130,17 @@ class CostModel(abc.ABC):
         profile: EdgeProfile,
         location: SpillLocation,
         jump_sharing: Optional[Mapping[EdgeKey, int]] = None,
+        *,
+        cfg: Optional[FunctionCFG] = None,
     ) -> float:
         """Dynamic cost of one save/restore location.
 
         ``jump_sharing`` maps edges to the number of callee-saved registers
         sharing a jump block there; it only applies to locations of *initial*
-        save/restore sets.
+        save/restore sets.  ``cfg`` is the function's CFG snapshot when the
+        caller holds one (fetched from ``function`` otherwise); callers that
+        price many locations pass it so each query skips the O(blocks)
+        revalidation of :meth:`Function.cfg`.
         """
 
     def set_cost(
@@ -144,6 +149,8 @@ class CostModel(abc.ABC):
         profile: EdgeProfile,
         srset: SaveRestoreSet,
         jump_sharing: Optional[Mapping[EdgeKey, int]] = None,
+        *,
+        cfg: Optional[FunctionCFG] = None,
     ) -> float:
         """Total cost of a save/restore set.
 
@@ -154,7 +161,7 @@ class CostModel(abc.ABC):
 
         sharing = jump_sharing if srset.initial else None
         return math.fsum(
-            self.location_cost(function, profile, location, sharing)
+            self.location_cost(function, profile, location, sharing, cfg=cfg)
             for location in srset.locations
         )
 
@@ -164,6 +171,8 @@ class CostModel(abc.ABC):
         profile: EdgeProfile,
         entry_edge: EdgeKey,
         exit_edge: EdgeKey,
+        *,
+        cfg: Optional[FunctionCFG] = None,
     ) -> float:
         """Cost of saving at ``entry_edge`` and restoring at ``exit_edge``.
 
@@ -176,8 +185,8 @@ class CostModel(abc.ABC):
         placeholder = PhysicalRegister("__cost__", -1)
         save = SpillLocation(placeholder, SpillKind.SAVE, entry_edge)
         restore = SpillLocation(placeholder, SpillKind.RESTORE, exit_edge)
-        return self.location_cost(function, profile, save) + self.location_cost(
-            function, profile, restore
+        return self.location_cost(function, profile, save, cfg=cfg) + self.location_cost(
+            function, profile, restore, cfg=cfg
         )
 
 
@@ -195,6 +204,8 @@ class ExecutionCountCostModel(CostModel):
         profile: EdgeProfile,
         location: SpillLocation,
         jump_sharing: Optional[Mapping[EdgeKey, int]] = None,
+        *,
+        cfg: Optional[FunctionCFG] = None,
     ) -> float:
         return profile.edge_count(location.edge) * self.location_weight(location)
 
@@ -213,43 +224,17 @@ class JumpEdgeCostModel(CostModel):
         profile: EdgeProfile,
         location: SpillLocation,
         jump_sharing: Optional[Mapping[EdgeKey, int]] = None,
+        *,
+        cfg: Optional[FunctionCFG] = None,
     ) -> float:
         count = profile.edge_count(location.edge)
         cost = count * self.location_weight(location)
-        if not requires_jump_block(function, location.edge):
+        if not requires_jump_block(function, location.edge, cfg=cfg):
             return cost
         sharing = 1
         if jump_sharing is not None:
             sharing = max(1, jump_sharing.get(location.edge, 1))
         return cost + count * self._jump_weight / sharing
-
-    def set_cost(
-        self,
-        function: Function,
-        profile: EdgeProfile,
-        srset: SaveRestoreSet,
-        jump_sharing: Optional[Mapping[EdgeKey, int]] = None,
-    ) -> float:
-        # Fetch the CFG snapshot once per set instead of once per location
-        # inside ``requires_jump_block``.  Only safe for this exact class: a
-        # subclass overriding ``location_cost`` must still be consulted per
-        # location, so it takes the generic path.
-        if type(self) is not JumpEdgeCostModel:
-            return super().set_cost(function, profile, srset, jump_sharing)
-        cfg = function.cfg()
-        sharing = jump_sharing if srset.initial else None
-        costs = []
-        for location in srset.locations:
-            count = profile.edge_count(location.edge)
-            cost = count * self.location_weight(location)
-            if requires_jump_block(function, location.edge, cfg=cfg):
-                share = 1
-                if sharing is not None:
-                    share = max(1, sharing.get(location.edge, 1))
-                cost += count * self._jump_weight / share
-            costs.append(cost)
-        # Order-independent, like the generic path (see CostModel.set_cost).
-        return math.fsum(costs)
 
 
 def make_cost_model(

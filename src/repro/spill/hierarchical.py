@@ -209,10 +209,10 @@ def place_hierarchical(
 
     def contained_set_cost(srset: SaveRestoreSet) -> float:
         if not memoize_costs:
-            return cost_model.set_cost(function, profile, srset, jump_sharing)
+            return cost_model.set_cost(function, profile, srset, jump_sharing, cfg=cfg)
         entry = cost_cache.get(id(srset))
         if entry is None:
-            entry = (srset, cost_model.set_cost(function, profile, srset, jump_sharing))
+            entry = (srset, cost_model.set_cost(function, profile, srset, jump_sharing, cfg=cfg))
             cost_cache[id(srset)] = entry
         return entry[1]
 
@@ -224,7 +224,7 @@ def place_hierarchical(
     # Steps 4-6: topological traversal of the PST.
     for region in pst.topological_order():
         boundary_cost = cost_model.boundary_cost(
-            function, profile, region.entry_edge, region.exit_edge
+            function, profile, region.entry_edge, region.exit_edge, cfg=cfg
         )
         for register in usage.used_registers():
             sets = current.get(register, [])

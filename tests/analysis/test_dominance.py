@@ -1,5 +1,6 @@
 """Tests for dominators, post-dominators and edge dominance."""
 
+import pytest
 from hypothesis import given
 
 from repro.analysis.dominance import (
@@ -9,9 +10,56 @@ from repro.analysis.dominance import (
     compute_postdominators,
 )
 from repro.analysis.graph import DiGraph, function_cfg
+from repro.analysis.sese import (
+    _region_blocks,
+    compute_edge_classes,
+    find_canonical_regions,
+    find_maximal_regions,
+)
 from repro.workloads.programs import diamond_function, loop_function, paper_example
 
-from tests.conftest import generated_procedures
+from tests.conftest import any_functions, generated_procedures
+
+
+def naive_dominates(tree, a, b):
+    """The idom-chain walk: ``a`` dominates ``b`` iff it lies on ``b``'s chain."""
+
+    node = b
+    while node is not None:
+        if node == a:
+            return True
+        node = tree.idom(node)
+    return False
+
+
+def naive_depth(tree, node):
+    depth = 0
+    while tree.idom(node) is not None:
+        node = tree.idom(node)
+        depth += 1
+    return depth
+
+
+def assert_matches_chain_walk(tree):
+    nodes = tree.nodes
+    for b in nodes:
+        assert tree.depth(b) == naive_depth(tree, b)
+        assert tree.depth(b) == len(tree.dominators_of(b)) - 1
+        for a in nodes:
+            expected = naive_dominates(tree, a, b)
+            assert tree.dominates(a, b) == expected, (a, b)
+            assert tree.strictly_dominates(a, b) == (expected and a != b), (a, b)
+
+
+def old_region_blocks(function, dominance, entry_edge, exit_edge):
+    """The scan-every-block definition of a region's blocks."""
+
+    return frozenset(
+        label
+        for label in function.block_labels
+        if dominance.edge_dominates_block(entry_edge, label)
+        and dominance.edge_postdominates_block(exit_edge, label)
+    )
 
 
 class TestDominators:
@@ -72,6 +120,20 @@ class TestDominators:
         dom = compute_dominators_of_graph(graph, "a")
         assert dom.idom("b") == "a"
         assert "island" not in dom
+        # A node outside the tree: it dominates only itself, and asking
+        # whether anything else dominates it, or for its depth, is a KeyError.
+        assert dom.dominates("island", "island")
+        assert not dom.strictly_dominates("island", "island")
+        assert not dom.dominates("island", "b")
+        assert not dom.strictly_dominates("island", "a")
+        with pytest.raises(KeyError):
+            dom.dominates("a", "island")
+        with pytest.raises(KeyError):
+            dom.strictly_dominates("b", "island")
+        with pytest.raises(KeyError):
+            dom.depth("island")
+        with pytest.raises(KeyError):
+            dom.dominators_of("island")
 
     @given(generated_procedures(max_segments=5))
     def test_entry_dominates_everything(self, procedure):
@@ -118,3 +180,79 @@ class TestEdgeDominance:
         edges = EdgeDominance(example.function)
         for label in example.function.block_labels:
             assert edges.edge_dominates_block(("__entry__", "A"), label)
+
+
+class TestIntervalNumbering:
+    """The O(1) interval queries agree with a walk up the idom chain."""
+
+    @given(any_functions())
+    def test_dominator_tree(self, function):
+        assert_matches_chain_walk(compute_dominators(function))
+
+    @given(any_functions())
+    def test_postdominator_tree(self, function):
+        assert_matches_chain_walk(compute_postdominators(function))
+
+    @given(any_functions())
+    def test_edge_split_graph(self, function):
+        edges = EdgeDominance(function)
+        assert_matches_chain_walk(edges.dominators)
+        assert_matches_chain_walk(edges.postdominators)
+
+    @given(any_functions())
+    def test_subtree_is_the_dominated_set(self, function):
+        tree = compute_dominators(function)
+        for a in tree.nodes:
+            subtree = tree.subtree(a)
+            assert subtree[0] == a
+            assert set(subtree) == {b for b in tree.nodes if naive_dominates(tree, a, b)}
+            low, high = tree.interval(a)
+            assert high - low == len(subtree)
+            assert [tree.preorder_index(b) for b in subtree] == list(range(low, high))
+
+    def test_numbering_is_built_on_first_query(self):
+        tree = compute_dominators(paper_example().function)
+        assert tree._numbering is None
+        tree.idom("B"), tree.children("A"), tree.dominators_of("E")
+        assert tree._numbering is None
+        assert tree.dominates("A", "E")
+        assert tree._numbering is not None
+
+    @given(any_functions())
+    def test_edge_depth_is_the_dominator_tree_depth(self, function):
+        edges = EdgeDominance(function)
+        for edge in function.edges():
+            node = edges.node_for(edge.key)
+            assert edges.depth(edge.key) == naive_depth(edges.dominators, node)
+
+
+class TestRegionBlocks:
+    """``_region_blocks`` equals the scan over every block it replaced."""
+
+    @given(any_functions())
+    def test_every_region(self, function):
+        if len(function) < 2:
+            return
+        dominance = EdgeDominance(function)
+        for region in find_maximal_regions(function) + find_canonical_regions(function):
+            blocks = _region_blocks(dominance, region.entry_edge, region.exit_edge)
+            assert blocks == region.blocks
+            assert blocks == old_region_blocks(
+                function, dominance, region.entry_edge, region.exit_edge
+            )
+
+    @given(any_functions())
+    def test_every_dominating_pair_of_class_edges(self, function):
+        if len(function) < 2:
+            return
+        dominance = EdgeDominance(function)
+        by_class = {}
+        for edge, class_id in compute_edge_classes(function).items():
+            by_class.setdefault(class_id, []).append(edge)
+        for edges in by_class.values():
+            for entry_edge in edges:
+                for exit_edge in edges:
+                    if dominance.edge_dominates_edge(entry_edge, exit_edge):
+                        assert _region_blocks(dominance, entry_edge, exit_edge) == (
+                            old_region_blocks(function, dominance, entry_edge, exit_edge)
+                        )

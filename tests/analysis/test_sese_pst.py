@@ -1,13 +1,28 @@
 """Tests for SESE regions and the program structure tree."""
 
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from repro.analysis.dominance import EdgeDominance
-from repro.analysis.pst import build_pst
+from repro.analysis.pst import Region, _nest, build_pst
 from repro.analysis.sese import find_canonical_regions, find_maximal_regions
 from repro.workloads.programs import diamond_function, loop_function, paper_example
 
-from tests.conftest import generated_procedures
+from tests.conftest import any_functions, generated_procedures
+
+
+def reference_parent(region, by_size, root):
+    """The O(R^2) rule: the smallest region strictly containing ``region``."""
+
+    candidates = [o for o in by_size if o is not region and region.blocks < o.blocks]
+    return min(candidates, key=lambda r: len(r.blocks)) if candidates else root
+
+
+def reference_smallest_containing(regions, label):
+    best = regions[0]
+    for region in regions:
+        if label in region.blocks and len(region.blocks) < len(best.blocks):
+            best = region
+    return best
 
 
 class TestSESERegions:
@@ -129,3 +144,45 @@ class TestProgramStructureTree:
         assert pst.root.depth == 0
         for region in pst.interior_regions():
             assert region.depth == region.parent.depth + 1
+
+
+class TestNestingMatchesReference:
+    """Nesting and innermost-region lookups equal the O(R^2) scans they replaced."""
+
+    @given(any_functions(), st.booleans())
+    def test_build_pst(self, function, maximal):
+        pst = build_pst(function, maximal=maximal)
+        regions = pst.regions()
+        by_size = regions[1:]
+        for region in by_size:
+            assert region.parent is reference_parent(region, by_size, pst.root)
+        for region in regions:
+            assert region.children == [o for o in by_size if o.parent is region]
+        for label in function.block_labels + ["not-a-block"]:
+            assert pst.smallest_region_containing(label) is (
+                reference_smallest_containing(regions, label)
+            )
+
+    @given(
+        st.lists(
+            st.frozensets(st.sampled_from("abcdefgh"), min_size=1, max_size=7),
+            max_size=8,
+        )
+    )
+    def test_any_family_of_block_sets(self, block_sets):
+        # Duplicates and straddling sets included: SESE regions never
+        # straddle, but the nesting rule is defined for any family.
+        root = Region(0, ("__entry__", "a"), ("h", "__exit__"), frozenset("abcdefgh"), is_root=True)
+        regions = [
+            Region(i + 1, ("x", str(i)), ("y", str(i)), blocks)
+            for i, blocks in enumerate(block_sets)
+            if blocks != root.blocks
+        ]
+        by_size = sorted(regions, key=lambda r: len(r.blocks))
+        innermost = _nest(root, by_size)
+        for region in by_size:
+            assert region.parent is reference_parent(region, by_size, root)
+        for region in [root] + by_size:
+            assert region.children == [o for o in by_size if o.parent is region]
+        for label in "abcdefgh":
+            assert innermost[label] is reference_smallest_containing([root] + by_size, label)

@@ -140,6 +140,26 @@ def generated_procedures(draw, max_segments: int = 7):
 
 
 @st.composite
+def scenario_functions(draw):
+    """One function of a random scenario family (irreducible and chaotic CFGs included)."""
+
+    from repro.workloads.scenarios import build_scenario, scenario_names
+
+    name = draw(st.sampled_from(scenario_names()))
+    seed = draw(st.integers(min_value=0, max_value=50))
+    return build_scenario(name, seed=seed, count=1)[0].function
+
+
+def any_functions():
+    """Generated procedures' functions or scenario-family functions."""
+
+    return st.one_of(
+        generated_procedures().map(lambda procedure: procedure.function),
+        scenario_functions(),
+    )
+
+
+@st.composite
 def random_multigraphs(draw, max_nodes: int = 8, max_extra_edges: int = 10):
     """Random connected undirected multigraphs for cycle-equivalence tests.
 
