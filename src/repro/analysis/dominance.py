@@ -25,8 +25,9 @@ class DominatorTree:
         ``a`` dominates ``b``  iff  ``pre[a] <= pre[b] < end[a]``
 
     and the nodes ``a`` dominates are the preorder slice ``[pre[a], end[a])``.
-    The numbering (with each node's depth) is built on the first such query,
-    in one O(n) pass: most trees an analysis builds are never queried.
+    The numbering (with each node's depth) is built in one O(n) pass on the
+    first such query, so a tree read only through ``idom``, ``children`` or
+    ``dominators_of`` never pays for it.
     """
 
     def __init__(self, root: Node, idom: Dict[Node, Optional[Node]], rpo_index: Dict[Node, int]):
@@ -121,6 +122,8 @@ class DominatorTree:
         return start, end[start]
 
     def preorder_index(self, node: Node) -> int:
+        """Position of ``node`` in the tree's preorder (the root is 0)."""
+
         pre = (self._numbering or self._number())[0]
         return pre[node]
 

@@ -175,18 +175,16 @@ def _nest(root: Region, by_size: List[Region]) -> Dict[str, Region]:
     none).  Regions are visited largest first, so when a region is reached
     ``innermost`` maps each block to the smallest region seen so far that
     holds it (the earliest in ``by_size`` order among equals).  If that
-    region, for any one of the region's blocks, holds all of the region's
-    blocks, it is the parent, or a region with the same blocks whose parent
-    is.  Only a region straddling two others (never a SESE region of a
-    well-formed flowgraph: those nest or are disjoint) needs the scan.
+    region, for any one of the region's blocks, strictly contains the
+    region, it is the parent.  Otherwise it has the same blocks, or the
+    family does not nest (SESE regions of a well-formed flowgraph nest or
+    are disjoint), and the parent is found by a scan.
     """
 
     innermost: Dict[str, Region] = dict.fromkeys(root.blocks, root)
     for region in reversed(by_size):
         parent = innermost[next(iter(region.blocks))]
-        if parent.blocks == region.blocks:
-            parent = parent.parent
-        elif not region.blocks < parent.blocks:
+        if not region.blocks < parent.blocks:
             parent = next((o for o in by_size if region.blocks < o.blocks), root)
         region.parent = parent
         innermost.update(dict.fromkeys(region.blocks, region))

@@ -83,7 +83,9 @@ def compute_edge_classes(function: Function) -> Dict[EdgeKey, int]:
     return {key: cls for key, cls in classes.items() if key != VIRTUAL_RETURN_EDGE}
 
 
-def _region_blocks(dominance: EdgeDominance, entry_edge: EdgeKey, exit_edge: EdgeKey) -> FrozenSet[str]:
+def _region_blocks(
+    dominance: EdgeDominance, entry_edge: EdgeKey, exit_edge: EdgeKey
+) -> FrozenSet[str]:
     """Blocks dominated by ``entry_edge`` and post-dominated by ``exit_edge``.
 
     The first condition is the entry edge's dominator subtree, read as a

@@ -79,6 +79,9 @@ class CostModel(abc.ABC):
     the per-location costs are weighted by the target's save/restore/jump
     instruction costs; without one, every instruction costs one unit (the
     paper's instruction-count accounting).
+
+    Every cost method takes the caller's CFG snapshot as the keyword-only
+    ``cfg`` and passes it on, so a subclass overriding one must accept it.
     """
 
     name: str = "abstract"

@@ -172,6 +172,10 @@ def place_hierarchical(
         Target machine supplying the save/restore/jump cost weights when
         ``cost_model`` is given by name (ignored for instances, which carry
         their own machine).  Omitted, every instruction costs one unit.
+    cfg:
+        The function's CFG snapshot, fetched once here when omitted.  Every
+        cost query of the traversal reads it instead of calling
+        :meth:`Function.cfg`, which revalidates in O(blocks).
 
     The result is checked per register against the callee-saved convention;
     a register whose hoisted sets fail the check (possible only outside the
