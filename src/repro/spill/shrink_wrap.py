@@ -69,12 +69,17 @@ class AnticipationAvailability:
 def _solve_aa_masks(cfg: FunctionCFG, used_mask: int) -> Tuple[int, int, int, int]:
     """Mask-based fixed point of the anticipation/availability equations.
 
-    One bit per block (positions from :meth:`FunctionCFG.aa_maps`), whole-CFG
-    Jacobi sweeps over integer masks.  Both the dict-based reference solver
+    One bit per block (positions from :meth:`FunctionCFG.aa_maps`, layout
+    order), in-place (Gauss-Seidel) sweeps over integer masks: forward in
+    layout order for availability, backward for anticipation, so one sweep
+    carries a fact along a whole chain of blocks laid out in flow order.
+    Both the dict-based reference solver
     (:func:`compute_anticipation_availability`) and this one start from the
-    same initial assignment and iterate monotone equations on a finite
-    lattice, so they converge to the same (unique, least) fixed point — the
-    property tests in ``tests/spill`` check bit-identity directly.
+    all-false assignment and apply monotone equations on a finite lattice,
+    so they converge to the same (unique, least) fixed point whatever the
+    order — the property tests in ``tests/spill`` check bit-identity
+    directly.  Starting from the bottom, a bit once set stays set, so a
+    sweep only tests blocks whose bit is still clear.
 
     Returns ``(ant_in, ant_out, av_in, av_out)`` masks.
     """
@@ -86,32 +91,34 @@ def _solve_aa_masks(cfg: FunctionCFG, used_mask: int) -> Tuple[int, int, int, in
     # (position 0 is the entry block), blocks without predecessors get false.
     av_in = 0
     av_out = used_mask
-    while True:
-        new_in = 0
+    changed = True
+    while changed:
+        changed = False
         for i in range(1, n):
+            bit = 1 << i
+            if av_in & bit:
+                continue
             pm = preds_masks[i]
             if pm and (av_out & pm) == pm:
-                new_in |= 1 << i
-        new_out = new_in | used_mask
-        if new_in == av_in and new_out == av_out:
-            break
-        av_in, av_out = new_in, new_out
+                av_in |= bit
+                av_out |= bit
+                changed = True
 
     # Anticipation: backward, intersection meet.  ANTOUT(exit) pinned false.
     ant_out = 0
     ant_in = used_mask
-    while True:
-        new_out = 0
-        for i in range(n):
-            if exits_mask >> i & 1:
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n - 1, -1, -1):
+            bit = 1 << i
+            if (ant_out | exits_mask) & bit:
                 continue
             sm = succs_masks[i]
             if sm and (ant_in & sm) == sm:
-                new_out |= 1 << i
-        new_in = new_out | used_mask
-        if new_out == ant_out and new_in == ant_in:
-            break
-        ant_out, ant_in = new_out, new_in
+                ant_out |= bit
+                ant_in |= bit
+                changed = True
 
     return ant_in, ant_out, av_in, av_out
 

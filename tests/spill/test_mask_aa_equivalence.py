@@ -1,7 +1,7 @@
 """Differential tests: mask-based anticipation/availability vs. the reference.
 
-``save_restore_edges`` solves the two boolean data-flow problems as whole-CFG
-Jacobi sweeps over integer masks (:func:`repro.spill.shrink_wrap._solve_aa_masks`);
+``save_restore_edges`` solves the two boolean data-flow problems as in-place
+sweeps over integer masks (:func:`repro.spill.shrink_wrap._solve_aa_masks`);
 ``compute_anticipation_availability`` is the dict-based Gauss-Seidel reference.
 Both iterate monotone equations on a finite lattice from the same initial
 assignment, so they must converge to the same unique least fixed point — these
