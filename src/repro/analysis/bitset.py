@@ -268,10 +268,9 @@ def solve_bit_dataflow(function, problem: BitDataflowProblem) -> BitDataflowResu
     labels = function.block_labels
     cfg = function.cfg()
     entry_label = cfg.entry_label
-    graph_succs = cfg.graph_succs
-    graph_preds = cfg.graph_preds
-    succs: Dict[str, List[str]] = {label: graph_succs[label] for label in labels}
-    preds: Dict[str, List[str]] = {label: graph_preds[label] for label in labels}
+    graph = cfg.graph
+    succs: Dict[str, List[str]] = {label: graph.successors(label) for label in labels}
+    preds: Dict[str, List[str]] = {label: graph.predecessors(label) for label in labels}
 
     if problem.universe is not None:
         universe = problem.universe

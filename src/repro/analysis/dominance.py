@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
-from repro.analysis.graph import DiGraph, edge_split_graph, function_cfg
+from repro.analysis.graph import DiGraph, edge_split_graph
 
 Node = Hashable
 
@@ -175,17 +175,19 @@ def compute_dominators_of_graph(graph: DiGraph, entry: Node) -> DominatorTree:
 
 
 def compute_dominators(function) -> DominatorTree:
-    """Dominator tree of a function's CFG, keyed by block label."""
+    """Dominator tree of a function's CFG, keyed by block label.
 
-    graph, entry, _exit = function_cfg(function)
-    return compute_dominators_of_graph(graph, entry)
+    Built once per CFG shape: the function's CFG snapshot keeps it, and
+    every caller until the CFG changes gets the same tree.
+    """
+
+    return function.cfg().dominators()
 
 
 def compute_postdominators(function) -> DominatorTree:
     """Post-dominator tree of a function's CFG (dominators of the reverse CFG)."""
 
-    graph, _entry, exit_label = function_cfg(function)
-    return compute_dominators_of_graph(graph.reversed(), exit_label)
+    return compute_dominators_of_graph(function.cfg().graph.reversed(), function.exit.label)
 
 
 class EdgeDominance:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.dominance import DominatorTree, compute_dominators
+from repro.ir.cfg import FunctionCFG
 from repro.ir.function import Function
 
 
@@ -88,53 +88,42 @@ class LoopForest:
         return max((loop.depth for loop in self.loops), default=0)
 
 
-def _natural_loop_body(function: Function, header: str, latch: str) -> Set[str]:
+def _natural_loop_body(preds: Dict[str, Tuple[str, ...]], header: str, latch: str) -> Set[str]:
     """Blocks of the natural loop with the given back edge."""
 
     body = {header, latch}
     stack = [latch]
-    preds: Dict[str, List[str]] = {}
-    for edge in function.edges():
-        preds.setdefault(edge.dst, []).append(edge.src)
     while stack:
         label = stack.pop()
         if label == header:
             continue
-        for pred in preds.get(label, []):
+        for pred in preds.get(label, ()):
             if pred not in body:
                 body.add(pred)
                 stack.append(pred)
     return body
 
 
-def back_edges_of(function: Function, dom: Optional[DominatorTree] = None) -> List[Tuple[str, str]]:
-    """The natural-loop back edges ``(latch, header)``: header dominates latch."""
+def find_back_edges(cfg: FunctionCFG) -> List[Tuple[str, str]]:
+    """The natural-loop back edges ``(latch, header)`` of a CFG snapshot."""
 
-    dom = dom or compute_dominators(function)
+    dom = cfg.dominators()
     return [
         (edge.src, edge.dst)
-        for edge in function.edges()
+        for edge in cfg.edges
         if edge.src in dom and edge.dst in dom and dom.dominates(edge.dst, edge.src)
     ]
 
 
-def is_reducible(function: Function, dom: Optional[DominatorTree] = None) -> bool:
-    """Is the function's CFG reducible?
+def check_reducible(cfg: FunctionCFG) -> bool:
+    """Reducibility of a CFG snapshot; :meth:`FunctionCFG.is_reducible` memoizes it."""
 
-    A flowgraph is reducible iff removing every back edge (``latch ->
-    header`` with the header dominating the latch) leaves an acyclic graph.
-    Irreducible graphs — cycles with several entry blocks — keep a cycle of
-    *forward* edges after the removal; this is the standard dominator-based
-    test.  Only blocks reachable from the entry participate (the verifier
-    rejects unreachable blocks anyway).
-    """
-
-    dom = dom or compute_dominators(function)
-    back = set(back_edges_of(function, dom))
-    reachable = {label for label in function.block_labels if label in dom}
+    dom = cfg.dominators()
+    back = set(find_back_edges(cfg))
+    reachable = {label for label in cfg.labels if label in dom}
     forward_succs: Dict[str, List[str]] = {label: [] for label in reachable}
     in_degree: Dict[str, int] = {label: 0 for label in reachable}
-    for edge in function.edges():
+    for edge in cfg.edges:
         if (edge.src, edge.dst) in back:
             continue
         if edge.src in reachable and edge.dst in reachable:
@@ -153,17 +142,14 @@ def is_reducible(function: Function, dom: Optional[DominatorTree] = None) -> boo
     return drained == len(reachable)
 
 
-def compute_loop_forest(function: Function, dom: Optional[DominatorTree] = None) -> LoopForest:
-    """Find all natural loops (one per header, merging shared-header back edges)."""
-
-    dom = dom or compute_dominators(function)
-    back_edges = back_edges_of(function, dom)
+def build_loop_forest(cfg: FunctionCFG) -> LoopForest:
+    """The loop forest of a CFG snapshot; :meth:`FunctionCFG.loop_forest` memoizes it."""
 
     loops_by_header: Dict[str, Loop] = {}
-    for latch, header in back_edges:
+    for latch, header in find_back_edges(cfg):
         loop = loops_by_header.setdefault(header, Loop(header=header))
         loop.latches.add(latch)
-        loop.body |= _natural_loop_body(function, header, latch)
+        loop.body |= _natural_loop_body(cfg.preds, header, latch)
 
     loops = list(loops_by_header.values())
 
@@ -180,3 +166,34 @@ def compute_loop_forest(function: Function, dom: Optional[DominatorTree] = None)
             loop.parent.children.append(loop)
 
     return LoopForest(loops=loops, loop_of_header=loops_by_header)
+
+
+def back_edges_of(function: Function) -> List[Tuple[str, str]]:
+    """The natural-loop back edges ``(latch, header)``: header dominates latch."""
+
+    return find_back_edges(function.cfg())
+
+
+def is_reducible(function: Function) -> bool:
+    """Is the function's CFG reducible?
+
+    A flowgraph is reducible iff removing every back edge (``latch ->
+    header`` with the header dominating the latch) leaves an acyclic graph.
+    Irreducible graphs — cycles with several entry blocks — keep a cycle of
+    *forward* edges after the removal; this is the standard dominator-based
+    test.  Only blocks reachable from the entry participate (the verifier
+    rejects unreachable blocks anyway).  Computed once per CFG shape.
+    """
+
+    return function.cfg().is_reducible()
+
+
+def compute_loop_forest(function: Function) -> LoopForest:
+    """Find all natural loops (one per header, merging shared-header back edges).
+
+    Built once per CFG shape: the function's CFG snapshot keeps it, and
+    every caller until the CFG changes gets the same forest, so treat it as
+    read-only.
+    """
+
+    return function.cfg().loop_forest()

@@ -1,9 +1,10 @@
 """Reaching-definitions analysis.
 
 Definitions are identified by ``(block_label, instruction_index, register)``.
-The analysis feeds du-web construction (:mod:`repro.analysis.webs`), which the
-paper reuses — with saves treated as web beginnings and restores as web
-terminations — to group save/restore locations into save/restore sets.
+The lint rules read it to find uninitialized reads.  The paper's web model
+— saves begin a web, restores end one — groups save/restore locations into
+save/restore sets; :mod:`repro.spill.sets` implements that grouping directly
+on placement edges.
 """
 
 from __future__ import annotations

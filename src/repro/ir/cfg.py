@@ -14,16 +14,25 @@ re-derived edges from terminators on each query (``block_out_edges`` alone was
 :meth:`repro.ir.function.Function.cfg` hands out a cached snapshot that is
 revalidated against the terminators' signature, so in-place CFG mutation
 (e.g. retargeting a branch) is still observed safely.
+
+The snapshot is also the one cache of the analyses that depend only on the
+CFG's shape: dominators, natural loops, reducibility and reachability.
+:func:`repro.analysis.dominance.compute_dominators`,
+:func:`repro.analysis.loops.compute_loop_forest` and their siblings read it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tuple, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.ir.basic_block import BasicBlock
+    from repro.analysis.dominance import DominatorTree
+    from repro.analysis.graph import DiGraph
+    from repro.analysis.loops import LoopForest
+
+T = TypeVar("T")
 
 #: Sentinel labels used for the virtual procedure-entry and procedure-exit
 #: edges.  Spill locations "at procedure entry" live on the edge
@@ -91,8 +100,11 @@ class FunctionCFG:
     Everything the pipeline repeatedly asks of the CFG — out edges, successor
     and predecessor lists, edge lookup by key, exit blocks, traversal orders —
     is derived exactly once from the terminator signature and then answered by
-    dictionary lookups.  The snapshot never mutates; a changed function yields
-    a new snapshot (see :meth:`repro.ir.function.Function.cfg`).
+    dictionary lookups.  The CFG it describes never changes; a changed function
+    yields a new snapshot (see :meth:`repro.ir.function.Function.cfg`).  What
+    the snapshot derives lazily — the :class:`~repro.analysis.graph.DiGraph`
+    view, traversal orders and the shape analyses — is memoized on it and
+    shared by every caller, so callers must not mutate it.
 
     The edge derivation mirrors the historical per-query rules bit for bit:
     jump (taken) edges precede fall-through edges in each block's out-edge
@@ -113,12 +125,7 @@ class FunctionCFG:
         "num_succs",
         "num_preds",
         "jump_memo",
-        "_edge_map",
-        "_rpo",
-        "_graph_succs",
-        "_graph_preds",
-        "_aa_maps",
-        "_placement_edges",
+        "_memo",
     )
 
     def __init__(self, function_name: str, signature: CFGSignature):
@@ -174,12 +181,7 @@ class FunctionCFG:
         self.num_preds: Dict[str, int] = {l: len(s) for l, s in self.preds.items()}
         #: Per-edge memo for :func:`repro.spill.cost_models.requires_jump_block`.
         self.jump_memo: Dict[Tuple[str, str], bool] = {}
-        self._edge_map: Optional[Dict[Tuple[str, str], Edge]] = None
-        self._rpo: Optional[List[str]] = None
-        self._graph_succs: Optional[Dict[str, List[str]]] = None
-        self._graph_preds: Optional[Dict[str, List[str]]] = None
-        self._aa_maps = None
-        self._placement_edges = None
+        self._memo: Dict[str, object] = {}
 
     # -- lookups ----------------------------------------------------------------
 
@@ -208,11 +210,7 @@ class FunctionCFG:
     def edge_map(self) -> Dict[Tuple[str, str], Edge]:
         """All edges keyed by ``(src, dst)`` (computed once, then cached)."""
 
-        mapping = self._edge_map
-        if mapping is None:
-            mapping = {e.key: e for e in self.edges}
-            self._edge_map = mapping
-        return mapping
+        return self._cached("edge_map", lambda: {e.key: e for e in self.edges})
 
     def placement_edge_keys(self) -> frozenset:
         """Edge keys a spill location may legally occupy (cached).
@@ -221,14 +219,13 @@ class FunctionCFG:
         procedure-exit edges; requires a single exit (like :meth:`exit_edge`).
         """
 
-        keys = self._placement_edges
-        if keys is None:
-            keys = frozenset(
+        return self._cached(
+            "placement_edges",
+            lambda: frozenset(
                 [(ENTRY_SENTINEL, self.entry_label), (self.exit_label, EXIT_SENTINEL)]
                 + [e.key for e in self.edges]
-            )
-            self._placement_edges = keys
-        return keys
+            ),
+        )
 
     def entry_edge(self) -> Edge:
         """The virtual procedure-entry edge."""
@@ -240,85 +237,100 @@ class FunctionCFG:
 
         return Edge(self.exit_label, EXIT_SENTINEL, EdgeKind.VIRTUAL)
 
-    # -- traversal structures ----------------------------------------------------
+    # -- traversal structures and shape analyses ----------------------------------
+    #
+    # Everything below depends only on the CFG's shape, so it is computed at
+    # most once per snapshot and kept in ``_memo``.  A changed CFG gets a new
+    # snapshot and therefore fresh analyses; ``Function.clone`` and pickling
+    # start from no snapshot, so nothing computed here outlives the function
+    # object it was computed for.  The analysis modules are imported lazily:
+    # :mod:`repro.analysis` itself depends on :mod:`repro.ir`.
 
-    def _build_graph(self) -> None:
-        """Deduplicated adjacency in both directions (DiGraph-compatible).
+    def _cached(self, key: str, build: Callable[[], T]) -> T:
+        memo = self._memo
+        if key in memo:
+            return memo[key]
+        value = memo[key] = build()
+        return value
 
-        Node order and neighbour order replicate
-        :func:`repro.analysis.graph.function_cfg`: labels first in layout
-        order, then any edge endpoint not yet present, with parallel edges
-        collapsed on first occurrence.
+    @property
+    def graph(self) -> "DiGraph":
+        """The CFG as a :class:`~repro.analysis.graph.DiGraph` (treat as read-only).
+
+        Nodes are the labels in layout order, then any dangling edge target;
+        parallel edges collapse into one.
         """
 
-        succs: Dict[str, List[str]] = {}
-        preds: Dict[str, List[str]] = {}
+        return self._cached("graph", self._digraph)
 
-        def ensure(node: str) -> None:
-            if node not in succs:
-                succs[node] = []
-                preds[node] = []
+    def _digraph(self) -> "DiGraph":
+        from repro.analysis.graph import DiGraph
 
+        graph = DiGraph()
         for label in self.labels:
-            ensure(label)
+            graph.add_node(label)
         for e in self.edges:
-            ensure(e.src)
-            ensure(e.dst)
-            if e.dst not in succs[e.src]:
-                succs[e.src].append(e.dst)
-                preds[e.dst].append(e.src)
-        self._graph_succs = succs
-        self._graph_preds = preds
-
-    @property
-    def graph_succs(self) -> Dict[str, List[str]]:
-        """Deduplicated successor lists (treat as read-only)."""
-
-        if self._graph_succs is None:
-            self._build_graph()
-        return self._graph_succs
-
-    @property
-    def graph_preds(self) -> Dict[str, List[str]]:
-        """Deduplicated predecessor lists (treat as read-only)."""
-
-        if self._graph_preds is None:
-            self._build_graph()
-        return self._graph_preds
+            graph.add_edge(e.src, e.dst)
+        return graph
 
     def reverse_postorder(self) -> List[str]:
-        """Blocks reachable from the entry in reverse post-order (cached).
+        """Blocks reachable from the entry in reverse post-order (treat as read-only)."""
 
-        Replicates the iterative DFS of
-        :meth:`repro.analysis.graph.DiGraph.postorder` so solvers switching to
-        the snapshot iterate in the historical order.
+        entry = self.entry_label
+        return self._cached(
+            "rpo", lambda: [] if entry is None else self.graph.reverse_postorder(entry)
+        )
+
+    def dominators(self) -> "DominatorTree":
+        """The dominator tree, rooted at the entry block."""
+
+        from repro.analysis.dominance import compute_dominators_of_graph
+
+        return self._cached(
+            "dominators", lambda: compute_dominators_of_graph(self.graph, self.entry_label)
+        )
+
+    def loop_forest(self) -> "LoopForest":
+        """The natural-loop nesting forest."""
+
+        from repro.analysis.loops import build_loop_forest
+
+        return self._cached("loop_forest", lambda: build_loop_forest(self))
+
+    def is_reducible(self) -> bool:
+        """Whether removing every natural-loop back edge leaves an acyclic graph."""
+
+        from repro.analysis.loops import check_reducible
+
+        return self._cached("reducible", lambda: check_reducible(self))
+
+    def reachable(self) -> FrozenSet[str]:
+        """Labels of blocks reachable from the entry block."""
+
+        return self._cached("reachable", lambda: self._closure((self.entry_label,), self.succs))
+
+    def reaching_exit(self) -> FrozenSet[str]:
+        """Labels of blocks from which some exit block is reachable."""
+
+        return self._cached("reaching_exit", lambda: self._closure(self.exit_labels, self.preds))
+
+    def _closure(self, roots, neighbours: Dict[str, Tuple[str, ...]]) -> FrozenSet[str]:
+        """Block labels reachable from ``roots`` along ``neighbours``.
+
+        Unknown labels (dangling branch targets) are reported by the
+        verifier; the walk simply stops at them.
         """
 
-        rpo = self._rpo
-        if rpo is None:
-            if self.entry_label is None:
-                rpo = []
-            else:
-                succs = self.graph_succs
-                visited = {self.entry_label}
-                order: List[str] = []
-                stack: List[Tuple[str, int]] = [(self.entry_label, 0)]
-                while stack:
-                    node, index = stack[-1]
-                    children = succs[node]
-                    if index < len(children):
-                        stack[-1] = (node, index + 1)
-                        child = children[index]
-                        if child not in visited:
-                            visited.add(child)
-                            stack.append((child, 0))
-                    else:
-                        stack.pop()
-                        order.append(node)
-                order.reverse()
-                rpo = order
-            self._rpo = rpo
-        return rpo
+        labels = self.out_edges
+        seen = set()
+        stack = list(roots)
+        while stack:
+            label = stack.pop()
+            if label in seen or label not in labels:
+                continue
+            seen.add(label)
+            stack.extend(n for n in neighbours[label] if n not in seen)
+        return frozenset(seen)
 
     def aa_maps(self):
         """Bit-position maps for the mask-based anticipation/availability solver.
@@ -328,29 +340,28 @@ class FunctionCFG:
         every callee-saved register solves over the same structure.
         """
 
-        maps = self._aa_maps
-        if maps is None:
-            labels = self.labels
-            position = {label: i for i, label in enumerate(labels)}
-            preds_masks: List[int] = []
-            succs_masks: List[int] = []
-            for label in labels:
-                mask = 0
-                for p in self.preds.get(label, ()):
-                    mask |= 1 << position[p]
-                preds_masks.append(mask)
-                mask = 0
-                for s in self.succs[label]:
-                    bit = position.get(s)
-                    if bit is not None:
-                        mask |= 1 << bit
-                succs_masks.append(mask)
-            exits_mask = 0
-            for label in self.exit_labels:
-                exits_mask |= 1 << position[label]
-            maps = (position, preds_masks, succs_masks, exits_mask)
-            self._aa_maps = maps
-        return maps
+        return self._cached("aa_maps", self._build_aa_maps)
+
+    def _build_aa_maps(self):
+        labels = self.labels
+        position = {label: i for i, label in enumerate(labels)}
+        preds_masks: List[int] = []
+        succs_masks: List[int] = []
+        for label in labels:
+            mask = 0
+            for p in self.preds.get(label, ()):
+                mask |= 1 << position[p]
+            preds_masks.append(mask)
+            mask = 0
+            for s in self.succs[label]:
+                bit = position.get(s)
+                if bit is not None:
+                    mask |= 1 << bit
+            succs_masks.append(mask)
+        exits_mask = 0
+        for label in self.exit_labels:
+            exits_mask |= 1 << position[label]
+        return position, preds_masks, succs_masks, exits_mask
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.ir.basic_block import BasicBlock
 from repro.ir.cfg import ENTRY_SENTINEL, EXIT_SENTINEL, Edge, EdgeKind, FunctionCFG
@@ -322,34 +322,13 @@ class Function:
         return f"<Function {self.name} ({len(self)} blocks, {self.instruction_count()} insts)>"
 
 
-def reachable_blocks(function: Function) -> Set[str]:
+def reachable_blocks(function: Function) -> FrozenSet[str]:
     """Labels of blocks reachable from the entry block."""
 
-    seen: Set[str] = set()
-    stack = [function.entry.label]
-    while stack:
-        label = stack.pop()
-        if label in seen or label not in function:
-            # Unknown labels (dangling branch targets) are reported by the
-            # verifier; traversal simply stops at them.
-            continue
-        seen.add(label)
-        stack.extend(s for s in function.successors(label) if s not in seen)
-    return seen
+    return function.cfg().reachable()
 
 
-def blocks_reaching_exit(function: Function) -> Set[str]:
+def blocks_reaching_exit(function: Function) -> FrozenSet[str]:
     """Labels of blocks from which some exit block is reachable."""
 
-    preds: Dict[str, List[str]] = {label: [] for label in function.block_labels}
-    for edge in function.edges():
-        preds.setdefault(edge.dst, []).append(edge.src)
-    seen: Set[str] = set()
-    stack = [b.label for b in function.exit_blocks()]
-    while stack:
-        label = stack.pop()
-        if label in seen:
-            continue
-        seen.add(label)
-        stack.extend(p for p in preds.get(label, []) if p not in seen)
-    return seen
+    return function.cfg().reaching_exit()

@@ -1,28 +1,27 @@
-"""Shared, memoized analysis state for one linted function.
+"""Shared, memoized instruction-level analyses for one linted function.
 
-Every lint rule reads the same handful of analyses — the CFG snapshot,
-dominators, liveness, reaching definitions, the loop forest — and most
-functions trip several rules, so recomputing per rule would multiply the
-cost of a lint pass by the rule count.  :class:`AnalysisContext` computes
-each analysis at most once and hands the cached result to every rule.
+Several lint rules read the same instruction-level analyses — liveness,
+reaching definitions, profile block counts — so recomputing them per rule
+would multiply the cost of a lint pass by the rule count.
+:class:`AnalysisContext` computes each at most once and hands the cached
+result to every rule.
 
-This is deliberately the seed of the ROADMAP's ``CompilationSession``:
-a per-function owner of analysis results with a single creation point.
-The session item adds explicit invalidation and region fingerprints;
-the lint engine only ever needs the compute-once half because linting
-never mutates the IR (property-tested in ``tests/lint``).
+Analyses of the CFG's shape (dominators, natural loops, reducibility,
+reachability) are not kept here: the function's CFG snapshot
+(:meth:`repro.ir.function.Function.cfg`) is their one cache, and rules read
+them through :func:`~repro.ir.function.reachable_blocks`,
+:func:`~repro.analysis.loops.is_reducible` and friends.  Linting never
+mutates the IR (property-tested in ``tests/lint``), so both caches stay
+valid for the whole pass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
-from repro.analysis.dominance import DominatorTree, compute_dominators
 from repro.analysis.liveness import LivenessInfo, compute_liveness
-from repro.analysis.loops import LoopForest, compute_loop_forest, is_reducible
 from repro.analysis.reaching import ReachingDefinitions, compute_reaching_definitions
-from repro.ir.cfg import FunctionCFG
-from repro.ir.function import Function, blocks_reaching_exit, reachable_blocks
+from repro.ir.function import Function
 from repro.profiling.profile_data import EdgeProfile
 
 _MISSING = object()
@@ -31,9 +30,9 @@ _MISSING = object()
 class AnalysisContext:
     """Compute-once, memoized analyses over one function.
 
-    Rules access analyses as properties (``ctx.liveness``, ``ctx.dom``,
-    ...); the first access runs the analysis, later accesses return the
-    cached result.  The context also carries the optional inputs a rule
+    Rules access analyses as properties (``ctx.liveness``, ``ctx.reaching``,
+    ``ctx.block_counts``); the first access runs the analysis, later
+    accesses return the cached result.  The context also carries the optional inputs a rule
     may need — the :class:`~repro.profiling.profile_data.EdgeProfile`
     and the target machine description — so rule signatures stay uniform.
     """
@@ -56,18 +55,6 @@ class AnalysisContext:
         return value
 
     @property
-    def cfg(self) -> FunctionCFG:
-        """The function's cached CFG snapshot."""
-
-        return self._memo("cfg", self.function.cfg)
-
-    @property
-    def dom(self) -> DominatorTree:
-        """The dominator tree."""
-
-        return self._memo("dom", lambda: compute_dominators(self.function))
-
-    @property
     def liveness(self) -> LivenessInfo:
         """Block-level liveness (packed-bitset solution)."""
 
@@ -80,30 +67,6 @@ class AnalysisContext:
         """Reaching definitions at block boundaries."""
 
         return self._memo("reaching", lambda: compute_reaching_definitions(self.function))
-
-    @property
-    def loop_forest(self) -> LoopForest:
-        """The natural-loop nesting forest."""
-
-        return self._memo("loops", lambda: compute_loop_forest(self.function, dom=self.dom))
-
-    @property
-    def reducible(self) -> bool:
-        """Whether every back edge targets a dominating header."""
-
-        return self._memo("reducible", lambda: is_reducible(self.function, dom=self.dom))
-
-    @property
-    def reachable(self) -> Set[str]:
-        """Labels of blocks reachable from the entry."""
-
-        return self._memo("reachable", lambda: reachable_blocks(self.function))
-
-    @property
-    def reaching_exit(self) -> Set[str]:
-        """Labels of blocks from which some exit block is reachable."""
-
-        return self._memo("reaching_exit", lambda: blocks_reaching_exit(self.function))
 
     @property
     def block_counts(self) -> Dict[str, float]:

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Set
 
+from repro.analysis.loops import is_reducible
+from repro.ir.function import blocks_reaching_exit, reachable_blocks
 from repro.ir.instructions import Opcode
 from repro.ir.values import Register, VirtualRegister
 from repro.lint.context import AnalysisContext
@@ -126,8 +128,9 @@ def check_uninitialized_read(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 
     params = set(ctx.function.params)
     reaching = ctx.reaching
+    reachable = reachable_blocks(ctx.function)
     for block in ctx.function.blocks:
-        if block.label not in ctx.reachable:
+        if block.label not in reachable:
             continue
         reached: Set[Register] = {d[2] for d in reaching.reach_in[block.label]}
         for index, inst in enumerate(block.instructions):
@@ -169,8 +172,9 @@ def check_dead_definition(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     from repro.analysis.liveness import live_at_each_instruction
 
     liveness = ctx.liveness
+    reachable = reachable_blocks(ctx.function)
     for block in ctx.function.blocks:
-        if block.label not in ctx.reachable:
+        if block.label not in reachable:
             continue
         live_after = live_at_each_instruction(ctx.function, liveness, block.label)
         for index, inst in enumerate(block.instructions):
@@ -202,8 +206,9 @@ def check_dead_definition(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 def check_unreachable_block(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     """Flag blocks no path from the entry reaches."""
 
+    reachable = reachable_blocks(ctx.function)
     for block in ctx.function.blocks:
-        if block.label not in ctx.reachable:
+        if block.label not in reachable:
             yield _diag(
                 "R003",
                 ctx,
@@ -231,7 +236,7 @@ def check_irreducible_cfg(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     generator bug when it appears outside the chaos scenario families.
     """
 
-    if not ctx.reducible:
+    if not is_reducible(ctx.function):
         yield _diag(
             "R004",
             ctx,
@@ -259,9 +264,11 @@ def check_critical_switch_edge(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     spill placement must materialize a jump block to hold edge code.
     """
 
-    preds = ctx.cfg.preds
+    cfg = ctx.function.cfg()
+    preds = cfg.preds
+    reachable = cfg.reachable()
     for block in ctx.function.blocks:
-        if block.label not in ctx.reachable:
+        if block.label not in reachable:
             continue
         term = block.instructions[-1] if block.instructions else None
         if term is None or not term.is_switch():
@@ -334,7 +341,7 @@ def check_infinite_loop(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     never terminate on.
     """
 
-    stuck = ctx.reachable - ctx.reaching_exit
+    stuck = reachable_blocks(ctx.function) - blocks_reaching_exit(ctx.function)
     if not stuck:
         return
     for block in ctx.function.blocks:
@@ -401,7 +408,7 @@ def check_profile_shape(ctx: AnalysisContext) -> Iterator[Diagnostic]:
             f"profile is for function {profile.function_name!r}, "
             f"not {ctx.function.name!r}",
         )
-    cfg_edges = {(e.src, e.dst) for e in ctx.cfg.edges}
+    cfg_edges = {(e.src, e.dst) for e in ctx.function.cfg().edges}
     for key in sorted(profile.edge_counts):
         if key not in cfg_edges:
             yield _diag(
@@ -438,8 +445,9 @@ def check_callee_saved_pressure(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 
     budget = ctx.machine.num_callee_saved
     liveness = ctx.liveness
+    reachable = reachable_blocks(ctx.function)
     for block in ctx.function.blocks:
-        if block.label not in ctx.reachable:
+        if block.label not in reachable:
             continue
         if not any(inst.is_call() for inst in block.instructions):
             continue

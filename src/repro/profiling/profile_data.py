@@ -87,10 +87,9 @@ class EdgeProfile:
         counts = {k: float(v) for k, v in edge_counts.items()}
         if invocations is None:
             entry = function.entry.label
-            outgoing = sum(counts.get(e.key, 0.0) for e in function.block_out_edges(entry))
-            incoming = sum(
-                counts.get(e.key, 0.0) for e in function.edges() if e.dst == entry
-            )
+            cfg = function.cfg()
+            outgoing = sum(counts.get(e.key, 0.0) for e in cfg.out_edges[entry])
+            incoming = sum(counts.get(e.key, 0.0) for e in cfg.edges if e.dst == entry)
             terminating = 0.0
             if function.entry.terminator is not None and function.entry.terminator.is_return():
                 # Degenerate single-block function: every invocation exits here.

@@ -34,8 +34,9 @@ def _branch_probabilities(
     """Normalize per-edge probabilities, defaulting to a uniform split."""
 
     result: Dict[EdgeKey, float] = {}
+    block_out_edges = function.cfg().out_edges
     for block in function.blocks:
-        out_edges = function.block_out_edges(block.label)
+        out_edges = block_out_edges[block.label]
         if not out_edges:
             continue
         raw = []
@@ -82,11 +83,12 @@ def profile_from_branch_probabilities(
     labels = function.block_labels
     index = {label: i for i, label in enumerate(labels)}
     probs = _branch_probabilities(function, probabilities)
+    edges = function.cfg().edges
 
     # freq = invocations * e_entry + P^T freq   =>   (I - P^T) freq = inv * e
     size = len(labels)
     matrix = np.eye(size)
-    for edge in function.edges():
+    for edge in edges:
         matrix[index[edge.dst], index[edge.src]] -= probs[edge.key]
     vector = np.zeros(size)
     vector[index[function.entry.label]] = float(invocations)
@@ -102,7 +104,7 @@ def profile_from_branch_probabilities(
     freq = np.maximum(freq, 0.0)
 
     edge_counts: Dict[EdgeKey, float] = {}
-    for edge in function.edges():
+    for edge in edges:
         edge_counts[edge.key] = float(freq[index[edge.src]] * probs[edge.key])
     profile = EdgeProfile(function.name, float(invocations), edge_counts)
     return profile
@@ -131,8 +133,9 @@ def profile_from_block_frequencies(
     """
 
     edge_counts: Dict[EdgeKey, float] = {}
+    block_out_edges = function.cfg().out_edges
     for block in function.blocks:
-        out_edges = function.block_out_edges(block.label)
+        out_edges = block_out_edges[block.label]
         if not out_edges:
             continue
         weights = [max(block_frequencies.get(e.dst, 0.0), 0.0) for e in out_edges]

@@ -150,7 +150,6 @@ def place_hierarchical(
     profile: EdgeProfile,
     cost_model: Union[CostModel, str] = "jump_edge",
     maximal_regions: bool = True,
-    pst: Optional[ProgramStructureTree] = None,
     machine: Optional["MachineDescription"] = None,
     cfg: Optional[FunctionCFG] = None,
 ) -> HierarchicalResult:
@@ -165,9 +164,6 @@ def place_hierarchical(
     maximal_regions:
         Build the PST from maximal SESE regions (the paper's formulation).
         ``False`` uses canonical regions and exists for the ablation study.
-    pst:
-        A pre-computed PST, to avoid recomputation when several placements of
-        the same function are produced.
     machine:
         Target machine supplying the save/restore/jump cost weights when
         ``cost_model`` is given by name (ignored for instances, which carry
@@ -191,8 +187,7 @@ def place_hierarchical(
     if cfg is None:
         cfg = function.cfg()
     # Steps 1-3: PST, modified shrink-wrapping locations, initial sets.
-    if pst is None:
-        pst = build_pst(function, maximal=maximal_regions)
+    pst = build_pst(function, maximal=maximal_regions)
     initial = place_shrink_wrap(
         function,
         usage,

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.loops import LoopForest, compute_loop_forest
+from repro.analysis.loops import LoopForest
 from repro.ir.cfg import EdgeKind, FunctionCFG
 from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL, Function
 from repro.ir.values import PhysicalRegister
@@ -255,15 +255,14 @@ def shrink_wrap_edges(
     avoid_loops: bool = False,
     max_iterations: Optional[int] = None,
     cfg: Optional[FunctionCFG] = None,
-    loops: Optional[LoopForest] = None,
 ) -> Tuple[Set[EdgeKey], Set[EdgeKey]]:
     """Shrink-wrapping save/restore edges for one register.
 
     ``allow_jump_edges=True, avoid_loops=False`` gives the modified variant
     used as the hierarchical algorithm's starting point;
     ``allow_jump_edges=False, avoid_loops=True`` gives Chow's original
-    technique.  ``cfg`` and ``loops`` (only read when ``avoid_loops``) let
-    callers placing many registers share the per-function derivations.
+    technique.  ``cfg`` lets callers placing many registers share one
+    validated snapshot, which also holds the loop forest.
     """
 
     if not used_blocks:
@@ -273,8 +272,7 @@ def shrink_wrap_edges(
 
     occupied = frozenset(used_blocks)
     if avoid_loops:
-        if loops is None:
-            loops = compute_loop_forest(function)
+        loops = cfg.loop_forest()
         occupied = _expand_through_loops(function, occupied, loops)
 
     limit = max_iterations if max_iterations is not None else len(function) + 2
@@ -331,7 +329,6 @@ def place_shrink_wrap(
         technique_name = "shrink_wrap" if not allow_jump_edges else "modified_shrink_wrap"
     if cfg is None:
         cfg = function.cfg()
-    loops = compute_loop_forest(function) if avoid_loops else None
     placement = SpillPlacement(function.name, technique_name)
     for register in usage.used_registers():
         saves, restores = shrink_wrap_edges(
@@ -340,7 +337,6 @@ def place_shrink_wrap(
             allow_jump_edges=allow_jump_edges,
             avoid_loops=avoid_loops,
             cfg=cfg,
-            loops=loops,
         )
         locations = [SpillLocation(register, SpillKind.SAVE, key) for key in sorted(saves)]
         locations += [SpillLocation(register, SpillKind.RESTORE, key) for key in sorted(restores)]

@@ -123,7 +123,7 @@ def _compute(allocated):
             for model in COST_MODELS:
                 result = place_hierarchical(
                     function, usage, profile, cost_model=model,
-                    maximal_regions=maximal, pst=pst, machine=machine,
+                    maximal_regions=maximal, machine=machine,
                 )
                 placements[(n, flavour, model)] = _digest(
                     result_lines(result, function, profile, machine)

@@ -22,6 +22,12 @@ class TestRules:
         assert [v.code for v in found] == ["H001"]
         assert found[0].line == 2
 
+    def test_h001_covers_analysis_and_profiling(self):
+        source = "def f(fn):\n    for b in fn.blocks:\n        fn.block_out_edges(b.label)\n"
+        for path in ("src/repro/analysis/x.py", "src/repro/profiling/x.py"):
+            found = check_hotpath.check_source(source, path)
+            assert [(v.code, v.line) for v in found] == [("H001", 3)]
+
     def test_h002_catches_mask_materialization_in_spill_only(self):
         source = "def f(ix, m):\n    return ix.set_of(m)\n"
         assert [

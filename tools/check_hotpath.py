@@ -8,10 +8,12 @@ the convenient-but-slow per-query APIs, so this tool walks the AST of the
 source tree and enforces three rules:
 
 ``H001``
-    ``.block_out_edges(...)`` inside ``repro/spill`` or ``repro/regalloc``.
-    The method builds a fresh list from the CFG on every call; hot-path code
-    must take one ``function.cfg()`` snapshot and index its ``out_edges``
-    mapping directly.
+    ``.block_out_edges(...)`` inside ``repro/spill``, ``repro/regalloc``,
+    ``repro/analysis`` or ``repro/profiling``.  The method revalidates the
+    CFG snapshot in O(blocks) and builds a fresh list on every call, so a
+    per-block loop over it is quadratic; code there must take one
+    ``function.cfg()`` snapshot and index its ``out_edges`` mapping
+    directly.
 
 ``H002``
     ``.set_of(...)`` inside ``repro/spill``.  Materializing a register
@@ -69,7 +71,7 @@ SUPPRESSION = "hotpath: ok"
 #: Which path fragments each rule applies to (POSIX-style, matched against
 #: the file's path with separators normalized).
 RULE_SCOPES = {
-    "H001": ("repro/spill/", "repro/regalloc/"),
+    "H001": ("repro/spill/", "repro/regalloc/", "repro/analysis/", "repro/profiling/"),
     "H002": ("repro/spill/",),
     "H003": ("repro/service/",),
 }
@@ -221,6 +223,17 @@ _SELF_TEST_CASES = (
         "H001",
         "src/repro/regalloc/example.py",
         "def f(function, label):\n    for e in function.block_out_edges(label):\n        pass\n",
+    ),
+    (
+        "H001",
+        "src/repro/profiling/example.py",
+        "def f(function):\n    for b in function.blocks:\n"
+        "        function.block_out_edges(b.label)\n",
+    ),
+    (
+        "H001",
+        "src/repro/analysis/example.py",
+        "def f(function, label):\n    return function.block_out_edges(label)\n",
     ),
     (
         "H002",
