@@ -11,7 +11,7 @@ Three legs:
   execution-derived profiling and input drawing included).
 * **compile** — translated-vs-synthetic compile cost: every ``pyfunc``
   catalog entry and an equal-sized scenario sample through the full
-  pipeline (allocation + all techniques, ``verify=True``) on one target,
+  pipeline (allocation + all techniques + verification) on one target,
   with the ``frontend-semantics`` differential check re-run on the pyfunc
   side so the benchmark cannot go green on wrong code.
 
@@ -151,9 +151,7 @@ def bench_compile(seed: int, target: str) -> dict:
     for name in pyfunc_names:
         entry = catalog.resolve(name)
         procedure = entry.build(seed, 0, machine)
-        compiled = compile_procedure(
-            procedure, machine=machine, techniques=TECHNIQUES, verify=True
-        )
+        compiled = compile_procedure(procedure, machine=machine, techniques=TECHNIQUES)
         violations += _check_semantics(entry, compiled, machine, seed)
     pyfunc_seconds = time.perf_counter() - started
 
@@ -172,9 +170,7 @@ def bench_compile(seed: int, target: str) -> dict:
         cursor += 1
     started = time.perf_counter()
     for procedure in synthetic:
-        compile_procedure(
-            procedure, machine=machine, techniques=TECHNIQUES, verify=True
-        )
+        compile_procedure(procedure, machine=machine, techniques=TECHNIQUES)
     synthetic_seconds = time.perf_counter() - started
 
     return {

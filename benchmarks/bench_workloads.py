@@ -4,7 +4,7 @@
 Two legs (see ``docs/performance.md`` for the schema):
 
 * **stress** — the full differential matrix: every scenario family x every
-  registered target x every technique, compiled with ``verify=True`` under
+  registered target x every technique, compiled (placements verified) under
   both cost models and diffed against the overhead invariants.  The harness
   fails (exit 1) on any violation — that is a correctness bug, not a
   performance number.

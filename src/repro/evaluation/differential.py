@@ -1,11 +1,12 @@
 """The differential stress harness over the scenario registry.
 
 ``repro-spill stress`` compiles every scenario family (or a subset) across
-every registered target × placement technique with ``verify=True`` and then
-*diffs* the results against the invariants the techniques promise:
+every registered target × placement technique (every compile verifies its
+placements) and then *diffs* the results against the invariants the
+techniques promise:
 
 * **placement validity** — every technique's placement satisfies the
-  callee-saved convention on every procedure (``verify=True`` raises inside
+  callee-saved convention on every procedure (the verifier raises inside
   the pipeline; the harness converts the exception into a violation record
   together with the offending procedure's textual IR, ready to check into
   ``tests/workloads/corpus/`` as a regression fixture);
@@ -429,7 +430,6 @@ def run_stress(
                             machine=machine,
                             cost_model=cost_model,
                             techniques=techniques,
-                            verify=True,
                         )
                     except Exception as exc:  # noqa: BLE001 - any failure is a finding
                         record("compile-or-verify", f"{type(exc).__name__}: {exc}")
@@ -470,7 +470,6 @@ def run_stress(
                                 machine=machine,
                                 cost_model=cost_model,
                                 techniques=techniques,
-                                verify=True,
                             )
                         except Exception as exc:  # noqa: BLE001
                             report.violations.append(

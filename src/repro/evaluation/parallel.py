@@ -163,7 +163,6 @@ def measure_procedure(
     machine=None,
     cost_model="jump_edge",
     techniques: Sequence[str] = TECHNIQUES,
-    verify: bool = True,
     maximal_regions: bool = True,
 ) -> ProcedureMeasurement:
     """Compile one procedure and return its measurement summary."""
@@ -175,7 +174,6 @@ def measure_procedure(
         machine=machine,
         cost_model=cost_model,
         techniques=techniques,
-        verify=verify,
         maximal_regions=maximal_regions,
     )
     return summarize_compiled(compiled, techniques)
@@ -189,7 +187,7 @@ def measure_procedure(
 def _measure_chunk(payload) -> List[ProcedureMeasurement]:
     """Worker: compile a chunk of procedures, return their summaries."""
 
-    procedures, machine, cost_model, techniques, verify, maximal_regions = payload
+    procedures, machine, cost_model, techniques, maximal_regions = payload
     from repro.analysis.bitset import base_register_index
     from repro.spill.cost_models import make_cost_model
     from repro.target.registry import resolve_target
@@ -206,7 +204,6 @@ def _measure_chunk(payload) -> List[ProcedureMeasurement]:
             machine=machine,
             cost_model=cost_model,
             techniques=techniques,
-            verify=verify,
             maximal_regions=maximal_regions,
         )
         for procedure in procedures
@@ -216,7 +213,7 @@ def _measure_chunk(payload) -> List[ProcedureMeasurement]:
 def _compile_chunk(payload) -> list:
     """Worker: compile a chunk of procedures, return the full artifacts."""
 
-    procedures, machine, cost_model, techniques, verify, maximal_regions = payload
+    procedures, machine, cost_model, techniques, maximal_regions = payload
     from repro.analysis.bitset import base_register_index
     from repro.pipeline.compiler import compile_procedure
     from repro.spill.cost_models import make_cost_model
@@ -232,7 +229,6 @@ def _compile_chunk(payload) -> list:
             machine=machine,
             cost_model=cost_model,
             techniques=techniques,
-            verify=verify,
             maximal_regions=maximal_regions,
         )
         for procedure in procedures
@@ -245,7 +241,7 @@ def _compile_chunk(payload) -> list:
 
 
 def _cache_options_token(
-    machine, cost_model, techniques: Sequence[str], verify: bool, maximal_regions: bool
+    machine, cost_model, techniques: Sequence[str], maximal_regions: bool
 ) -> Optional[str]:
     """The batch's cache-key options token, or ``None`` when uncacheable.
 
@@ -265,7 +261,7 @@ def _cache_options_token(
         if isinstance(cost_model, str)
         else cost_model
     )
-    return compile_options_token(resolved, model, techniques, verify, maximal_regions)
+    return compile_options_token(resolved, model, techniques, maximal_regions)
 
 
 def _resolve_cached(
@@ -274,7 +270,6 @@ def _resolve_cached(
     machine,
     cost_model,
     techniques: Sequence[str],
-    verify: bool,
     maximal_regions: bool,
     kind: str,
 ):
@@ -293,7 +288,7 @@ def _resolve_cached(
     ]
     if store is None:
         return results, keys, misses
-    token = _cache_options_token(machine, cost_model, techniques, verify, maximal_regions)
+    token = _cache_options_token(machine, cost_model, techniques, maximal_regions)
     if token is None:
         # Identity-less custom cost model: bypass the cache for the batch.
         return results, keys, misses
@@ -361,7 +356,6 @@ def _run_sharded(
     machine,
     cost_model,
     techniques: Sequence[str],
-    verify: bool,
     maximal_regions: bool,
     workers: int,
 ) -> List[List[object]]:
@@ -382,7 +376,6 @@ def _run_sharded(
                     machine,
                     cost_model,
                     techniques,
-                    verify,
                     maximal_regions,
                 ),
             )
@@ -412,7 +405,6 @@ def _compute_groups(
     machine,
     cost_model,
     techniques: Sequence[str],
-    verify: bool,
     maximal_regions: bool,
     workers: Optional[int],
     cache: CacheSpec,
@@ -428,7 +420,7 @@ def _compute_groups(
     workers = resolve_workers(workers)
     store = resolve_cache(cache)
     results, keys, misses = _resolve_cached(
-        store, groups, machine, cost_model, techniques, verify, maximal_regions, kind
+        store, groups, machine, cost_model, techniques, maximal_regions, kind
     )
     if not misses:
         return results
@@ -446,7 +438,6 @@ def _compute_groups(
             machine,
             cost_model,
             techniques,
-            verify,
             maximal_regions,
             workers,
         )
@@ -460,7 +451,6 @@ def _compute_groups(
                 machine=machine,
                 cost_model=cost_model,
                 techniques=techniques,
-                verify=verify,
                 maximal_regions=maximal_regions,
             )
     if store is not None:
@@ -475,7 +465,6 @@ def measure_procedure_groups(
     machine=None,
     cost_model="jump_edge",
     techniques: Sequence[str] = TECHNIQUES,
-    verify: bool = True,
     maximal_regions: bool = True,
     workers: Optional[int] = 1,
     cache: CacheSpec = None,
@@ -496,7 +485,6 @@ def measure_procedure_groups(
         machine,
         cost_model,
         techniques,
-        verify,
         maximal_regions,
         workers,
         cache,
@@ -515,7 +503,6 @@ def compile_procedures_parallel(
     machine=None,
     cost_model="jump_edge",
     techniques: Sequence[str] = TECHNIQUES,
-    verify: bool = True,
     maximal_regions: bool = True,
     workers: Optional[int] = 1,
     cache: CacheSpec = None,
@@ -537,7 +524,6 @@ def compile_procedures_parallel(
         machine,
         cost_model,
         techniques,
-        verify,
         maximal_regions,
         workers,
         cache,

@@ -205,7 +205,6 @@ def run_benchmark(
     machine: TargetSpec = None,
     cost_model: Union[CostModel, str] = "jump_edge",
     techniques: Sequence[str] = TECHNIQUES,
-    verify: bool = True,
     maximal_regions: bool = True,
     keep_procedures: bool = False,
     workers: Optional[int] = 1,
@@ -234,7 +233,6 @@ def run_benchmark(
             machine=machine,
             cost_model=cost_model,
             techniques=techniques,
-            verify=verify,
             maximal_regions=maximal_regions,
             workers=workers,
             cache=cache,
@@ -249,7 +247,6 @@ def run_benchmark(
             machine=machine,
             cost_model=cost_model,
             techniques=techniques,
-            verify=verify,
             maximal_regions=maximal_regions,
             workers=workers,
             cache=cache,
@@ -264,7 +261,6 @@ def run_suite(
     scale: float = 1.0,
     machine: TargetSpec = None,
     cost_model: Union[CostModel, str] = "jump_edge",
-    verify: bool = True,
     maximal_regions: bool = True,
     workers: Optional[int] = 1,
     cache: CacheSpec = None,
@@ -299,7 +295,6 @@ def run_suite(
         [benchmark.procedures for benchmark in suite],
         machine=machine,
         cost_model=cost_model,
-        verify=verify,
         maximal_regions=maximal_regions,
         workers=workers,
         cache=cache,

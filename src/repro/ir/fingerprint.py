@@ -24,11 +24,12 @@ invalidates old cache entries instead of silently aliasing them.
 The *composite cache key* (:func:`procedure_cache_key`) combines a
 function+profile fingerprint with an *options token*
 (:func:`compile_options_token`) covering the target identity, the cost-model
-identity, the technique list and the pipeline options (``verify``,
-``maximal_regions``).  Cost models announce their identity through
-``CostModel.cache_identity()``; custom models without a stable identity
-return ``None``, which makes the options token ``None`` and bypasses caching
-entirely — an unknown cost model must never alias a known one.
+identity, the technique list and the pipeline option ``maximal_regions``
+(lint reports use :func:`lint_options_token`).  Cost models announce their
+identity through ``CostModel.cache_identity()``; custom models without a
+stable identity return ``None``, which makes the options token ``None`` and
+bypasses caching entirely — an unknown cost model must never alias a known
+one.
 
 This module deliberately avoids importing the profiling/target/spill layers
 (it duck-types their objects) so it sits at the bottom of the layer stack
@@ -155,13 +156,14 @@ def compile_options_token(
     machine,
     cost_model,
     techniques: Sequence[str],
-    verify: bool,
     maximal_regions: bool,
 ) -> Optional[str]:
     """One digest covering everything about a compile *except* the procedure.
 
     Returns ``None`` when the cost model has no stable identity — the
-    signal for callers to skip caching for the whole batch.
+    signal for callers to skip caching for the whole batch.  Every compile
+    verifies its placements; the ``verify=True`` field stays in the digest
+    so keys are unchanged from when verification was optional.
     """
 
     model = cost_model_identity(cost_model)
@@ -172,8 +174,26 @@ def compile_options_token(
         machine_identity(machine),
         model,
         "techniques:" + ",".join(techniques),
-        f"verify={bool(verify)}",
+        "verify=True",
         f"maximal_regions={bool(maximal_regions)}",
+    )
+
+
+def lint_options_token(machine, rules: str) -> str:
+    """The options token of a lint report over the enabled ``rules``.
+
+    ``rules`` is the comma-joined rule codes.  The digest keeps the layout
+    of a compile token with no techniques, no verification and canonical
+    regions, so lint keys are unchanged from when lint built them that way.
+    """
+
+    return _digest(
+        _tag("options"),
+        machine_identity(machine),
+        "name:lint:" + rules,
+        "techniques:",
+        "verify=False",
+        "maximal_regions=False",
     )
 
 

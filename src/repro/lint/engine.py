@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.ir.fingerprint import compile_options_token, procedure_cache_key
+from repro.ir.fingerprint import lint_options_token, procedure_cache_key
 from repro.ir.function import Function
 from repro.lint.context import AnalysisContext
 from repro.lint.diagnostics import Diagnostic, Severity
@@ -194,7 +194,7 @@ def lint_cache_key(
     """
 
     enabled = ",".join(rule.code for rule in resolve_rule_codes(select, ignore))
-    token = compile_options_token(machine, "lint:" + enabled, (), False, False)
+    token = lint_options_token(machine, enabled)
     return procedure_cache_key(function, profile, token, kind="lint")
 
 

@@ -116,7 +116,6 @@ def compile_procedure(
     machine: TargetSpec = None,
     cost_model: Union[CostModel, str] = "jump_edge",
     techniques: Sequence[str] = TECHNIQUES,
-    verify: bool = True,
     maximal_regions: bool = True,
     cache: CacheSpec = None,
     lint: Optional[str] = None,
@@ -136,8 +135,6 @@ def compile_procedure(
     cost_model:
         Cost model for the hierarchical technique (paper: jump edge).  Given
         by name, it is weighted with ``machine``'s instruction costs.
-    verify:
-        Check every produced placement against the callee-saved convention.
     maximal_regions:
         Passed to the hierarchical algorithm (``False`` only for ablations).
     cache:
@@ -166,9 +163,7 @@ def compile_procedure(
     store = resolve_cache(cache)
     key = None
     if store is not None:
-        token = compile_options_token(
-            machine, cost_model, techniques, verify, maximal_regions
-        )
+        token = compile_options_token(machine, cost_model, techniques, maximal_regions)
         if token is not None:
             key = procedure_cache_key(function, profile, token, kind="compile")
             cached = store.get(key)
@@ -212,8 +207,7 @@ def compile_procedure(
                 ).placement
             else:
                 raise ValueError(f"unknown technique {technique!r}")
-        if verify:
-            verify_placement(allocated, usage, placement, cfg=cfg)
+        verify_placement(allocated, usage, placement, cfg=cfg)
         overhead = placement_dynamic_overhead(
             allocated, profile, placement, machine, cfg=cfg
         )
@@ -232,7 +226,6 @@ def compile_many(
     machine: TargetSpec = None,
     cost_model: Union[CostModel, str] = "jump_edge",
     techniques: Sequence[str] = TECHNIQUES,
-    verify: bool = True,
     maximal_regions: bool = True,
     workers: Optional[int] = 1,
     cache: CacheSpec = None,
@@ -294,7 +287,6 @@ def compile_many(
         machine=machine,
         cost_model=cost_model,
         techniques=techniques,
-        verify=verify,
         maximal_regions=maximal_regions,
         workers=workers,
         cache=cache,

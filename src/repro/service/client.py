@@ -8,9 +8,9 @@ response raises :class:`ServiceError` with the server's code and message.
 
 The synchronous :class:`ServiceClient` is what tests, the CLI and simple
 scripts use — one blocking request at a time per connection.  The
-:class:`AsyncServiceClient` is the load generator's building block: many
-instances (or one per simulated client) inside one event loop, with
-pipelining left to the caller.
+:class:`AsyncServiceClient` is a :class:`~repro.service.endpoint.Link`: one
+pipelined connection whose replies are matched to requests by id, and the
+load generator's building block.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from __future__ import annotations
 import asyncio
 import socket
 import time
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence
 
+from repro.service.endpoint import Link
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -358,28 +359,29 @@ class ServiceClient:
         _raise_for_error(self._roundtrip({"type": "shutdown", "id": self._next_id()}))
 
 
-class AsyncServiceClient:
-    """The asyncio twin of :class:`ServiceClient` (one stream connection).
+class AsyncServiceClient(Link):
+    """The asyncio twin of :class:`ServiceClient`: one pipelined connection.
 
-    Create with :meth:`connect`.  One in-flight request per instance keeps
-    request/response matching trivial; the load generator runs many
-    instances concurrently instead of pipelining one.
+    Create with :meth:`connect`.  The client is a
+    :class:`~repro.service.endpoint.Link`, so any number of requests may be
+    in flight at once on the one connection; each reply is matched to its
+    request by id.  The convenience methods mirror the sync client and
+    raise :class:`ServiceError` (``"transport"`` for a timeout or a lost
+    connection); :meth:`request` is the raw form the load generator drives.
     """
 
     def __init__(
         self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        host: str = "127.0.0.1",
+        port: int = 0,
         timeout: float = 60.0,
         retries: int = DEFAULT_RETRIES,
         backoff: float = DEFAULT_BACKOFF,
     ):
-        self._reader = reader
-        self._writer = writer
+        super().__init__(host, port, id_prefix="r")
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self._counter = 0
 
     @classmethod
     async def connect(
@@ -392,50 +394,51 @@ class AsyncServiceClient:
     ) -> "AsyncServiceClient":
         """Open a connection and perform the protocol handshake."""
 
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port, limit=MAX_FRAME_BYTES + 1024),
-            timeout=timeout,
-        )
-        client = cls(reader, writer, timeout=timeout, retries=retries, backoff=backoff)
-        await client._send(hello_message())
-        _check_hello(await client._receive())
+        client = cls(host, port, timeout=timeout, retries=retries, backoff=backoff)
+        try:
+            await client._connect(hello_message(), _check_hello, timeout)
+        except ProtocolError as exc:
+            raise ServiceError("protocol", str(exc)) from None
         return client
 
     async def close(self) -> None:
-        """Close the connection (idempotent)."""
+        """Close the connection (idempotent); pending requests fail."""
 
-        try:
-            self._writer.close()
-            await self._writer.wait_closed()
-        except (OSError, ConnectionResetError):  # pragma: no cover
-            pass
+        writer = self._writer
+        await self._close(ConnectionError("connection closed"))
+        if writer is not None:
+            try:
+                await writer.wait_closed()
+            except (OSError, ConnectionResetError):  # pragma: no cover
+                pass
 
-    def _next_id(self) -> str:
-        self._counter += 1
-        return f"r{self._counter}"
+    def _received(self, message: Dict[str, Any]) -> bool:
+        matched = super()._received(message)
+        if not matched:
+            self.errors += 1
+        return matched
 
-    async def _send(self, message: Mapping[str, Any]) -> None:
-        self._writer.write(encode_message(message))
-        await asyncio.wait_for(self._writer.drain(), timeout=self.timeout)
+    def _connection_lost(self) -> None:
+        # Fail anything still outstanding so callers do not hang.
+        self._teardown(ConnectionError("server closed the connection"))
 
-    async def _receive(self) -> Dict[str, Any]:
-        try:
-            line = await asyncio.wait_for(self._reader.readline(), timeout=self.timeout)
-        except asyncio.TimeoutError:
-            raise ServiceError("transport", "receive timed out") from None
-        except ValueError as exc:
-            # ``readline`` reports an over-limit line as ValueError.
-            raise ServiceError("protocol", f"oversized response frame: {exc}") from None
-        if not line:
-            raise ServiceError("transport", "server closed the connection")
-        try:
-            return decode_message(line)
-        except ProtocolError as exc:
-            raise ServiceError("protocol", str(exc)) from None
+    async def request(self, message: Mapping[str, Any], timeout: float) -> Dict[str, Any]:
+        """Send one message under its own ``id`` and await the matching reply.
+
+        Raises :class:`ConnectionError` when the link is (or goes) down and
+        :class:`asyncio.TimeoutError` past ``timeout``.  Replies that match
+        no pending request are counted in :attr:`errors`.
+        """
+
+        return await self._exchange(dict(message), None, timeout)
 
     async def _roundtrip(self, message: Mapping[str, Any]) -> Dict[str, Any]:
-        await self._send(message)
-        return await self._receive()
+        try:
+            return await self._exchange(dict(message), self.timeout, self.timeout)
+        except asyncio.TimeoutError:
+            raise ServiceError("transport", "receive timed out") from None
+        except OSError as exc:  # ConnectionError included
+            raise ServiceError("transport", str(exc)) from None
 
     async def compile(
         self,

@@ -3,9 +3,10 @@
 The service tests, the benchmark harness and ``repro-spill loadgen
 --self-serve`` all need a real, reachable server without managing a child
 process: :class:`EmbeddedServer` runs one on a dedicated thread with its own
-event loop, binds an ephemeral port, and tears the whole thing down —
-through the same graceful-drain path a SIGTERM takes — when the context
-exits.
+event loop (the :class:`~repro.service.endpoint.BackgroundEndpoint` runner
+the fleet supervisor shares), binds an ephemeral port, and tears the whole
+thing down — through the same graceful-drain path a SIGTERM takes — when the
+context exits.
 
 The embedded server is the real thing (same admission control, batching,
 coalescing and cache sharing), only the process boundary is missing; the CI
@@ -15,11 +16,10 @@ serve`` as an actual child process.
 
 from __future__ import annotations
 
-import asyncio
-import threading
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.cache.store import CacheSpec
+from repro.service.endpoint import BackgroundEndpoint
 from repro.service.server import (
     DEFAULT_BATCH_MAX_REQUESTS,
     DEFAULT_BATCH_WINDOW_MS,
@@ -28,13 +28,16 @@ from repro.service.server import (
 )
 
 
-class EmbeddedServer:
+class EmbeddedServer(BackgroundEndpoint):
     """A compile server on a background thread, as a context manager.
 
     ``with EmbeddedServer(...) as server:`` yields an object exposing
     ``host``, ``port`` (the ephemeral bind), the live ``server`` instance
     and :meth:`stats` — everything a client in the calling thread needs.
     """
+
+    NAME = "embedded compile server"
+    THREAD_NAME = "repro-service"
 
     def __init__(
         self,
@@ -47,9 +50,8 @@ class EmbeddedServer:
         startup_timeout: float = 30.0,
         peer: Optional[str] = None,
     ):
+        super().__init__(startup_timeout)
         self.host = host
-        self.port: Optional[int] = None
-        self.server: Optional[CompileServer] = None
         self._kwargs = dict(
             host=host,
             port=0,
@@ -60,88 +62,12 @@ class EmbeddedServer:
             batch_window_ms=batch_window_ms,
             peer=peer,
         )
-        self._startup_timeout = startup_timeout
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._failure: Optional[BaseException] = None
-        self._thread: Optional[threading.Thread] = None
 
-    def __enter__(self) -> "EmbeddedServer":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-service", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(self._startup_timeout):
-            raise RuntimeError("embedded compile server did not start in time")
-        if self._failure is not None:
-            raise RuntimeError(
-                f"embedded compile server failed to start: {self._failure}"
-            ) from self._failure
-        return self
+    @property
+    def server(self) -> Optional[CompileServer]:
+        """The live compile server (None until started)."""
 
-    def __exit__(self, *_exc) -> None:
-        self.stop()
+        return self.endpoint
 
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:  # pragma: no cover - surfaced via _failure
-            self._failure = exc
-            self._ready.set()
-
-    async def _amain(self) -> None:
-        try:
-            server = CompileServer(**self._kwargs)
-            await server.start()
-        except BaseException as exc:
-            self._failure = exc
-            self._ready.set()
-            return
-        self.server = server
-        self.port = server.port
-        self._loop = asyncio.get_running_loop()
-        self._ready.set()
-        await server.serve_forever()
-
-    def stop(self, timeout: float = 60.0) -> None:
-        """Drain the server gracefully and join the background thread."""
-
-        loop = self._loop
-        if loop is not None and self.server is not None and not loop.is_closed():
-            coroutine = self.server.drain()
-            try:
-                future = asyncio.run_coroutine_threadsafe(coroutine, loop)
-            except RuntimeError:
-                # The loop exited between the check and the call (e.g. a
-                # client-driven shutdown already completed the drain): the
-                # coroutine never started, so close the orphan.  Never
-                # close a *scheduled* coroutine — it belongs to the loop.
-                coroutine.close()
-            else:
-                try:
-                    future.result(timeout)
-                except Exception:  # pragma: no cover - slow/failed drain
-                    pass
-        if self._thread is not None:
-            self._thread.join(timeout)
-
-    def stats(self) -> Dict[str, Any]:
-        """The server's metrics snapshot, fetched thread-safely."""
-
-        if self._loop is None or self.server is None:
-            raise RuntimeError("embedded server is not running")
-        future = asyncio.run_coroutine_threadsafe(
-            _snapshot(self.server), self._loop
-        )
-        return future.result(30.0)
-
-
-async def _snapshot(server: CompileServer) -> Dict[str, Any]:
-    """Take the snapshot on the server's own loop (metrics are loop-owned).
-
-    The cache disk sweep still runs in a worker thread
-    (:meth:`~repro.service.server.CompileServer.stats_snapshot_async`), so
-    a large store never stalls the embedded server's event loop.
-    """
-
-    return await server.stats_snapshot_async()
+    def _build_endpoint(self) -> CompileServer:
+        return CompileServer(**self._kwargs)

@@ -21,15 +21,21 @@ and answered (:meth:`Endpoint._respond`), its health tick and the
 role-specific part of a drain.  Its words for itself (:attr:`Endpoint.ROLE`,
 :attr:`Endpoint.DRAINING_MESSAGE`) are the only per-role text on the wire.
 
+:class:`BackgroundEndpoint` serves an endpoint on a thread of its own, for
+the synchronous code that owns one: the in-process server and the fleet
+supervisor.
+
 :class:`Link` is the client side: one pipelined connection whose replies are
-matched to requests by id.  The router's link to each shard and a shard's
-link to the shared cache tier are both links.
+matched to requests by id.  The router's link to each shard, a shard's link
+to the shared cache tier and the public
+:class:`~repro.service.client.AsyncServiceClient` are all links.
 """
 
 from __future__ import annotations
 
 import asyncio
 import signal
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
@@ -484,6 +490,117 @@ class Endpoint:
                 pass
 
 
+class BackgroundEndpoint:
+    """An :class:`Endpoint` served on its own thread and event loop.
+
+    The synchronous owners of an endpoint — the in-process server
+    (:class:`~repro.service.embedded.EmbeddedServer`) and the fleet
+    supervisor (:class:`~repro.service.fleet.Fleet`) — subclass this and
+    build their endpoint in :meth:`_build_endpoint`.  Entering the context
+    starts the thread and blocks until the endpoint listens (or re-raises
+    why it could not); :meth:`call` runs a coroutine on the endpoint's loop
+    from any other thread; :meth:`stop` drains the endpoint through the
+    same graceful path a SIGTERM takes, then joins the thread.
+    """
+
+    #: How errors name the endpoint.
+    NAME: str
+
+    #: The name of the endpoint's thread.
+    THREAD_NAME: str
+
+    def __init__(self, startup_timeout: float):
+        #: The live endpoint, once started.
+        self.endpoint: Optional[Endpoint] = None
+        #: The endpoint's bound client port, once started.
+        self.port: Optional[int] = None
+        self._startup_timeout = startup_timeout
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
+        self._ready = threading.Event()
+        self._failure: Optional[BaseException] = None
+
+    def _build_endpoint(self) -> Endpoint:
+        """Construct the endpoint (on its loop); ``start()`` binds it."""
+
+        raise NotImplementedError
+
+    def __enter__(self):
+        self._thread = threading.Thread(
+            target=self._run, name=self.THREAD_NAME, daemon=True
+        )
+        self._thread.start()
+        if not self._ready.wait(self._startup_timeout):
+            raise RuntimeError(f"{self.NAME} did not start in time")
+        if self._failure is not None:
+            raise RuntimeError(
+                f"{self.NAME} failed to start: {self._failure}"
+            ) from self._failure
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.stop()
+
+    def _run(self) -> None:
+        try:
+            asyncio.run(self._main())
+        except BaseException as exc:  # pragma: no cover - surfaced via _failure
+            self._failure = exc
+            self._ready.set()
+
+    async def _main(self) -> None:
+        try:
+            endpoint = self._build_endpoint()
+            await endpoint.start()
+        except BaseException as exc:
+            self._failure = exc
+            self._ready.set()
+            return
+        self.endpoint = endpoint
+        self.port = endpoint.port
+        self._loop = asyncio.get_running_loop()
+        self._ready.set()
+        await endpoint.serve_forever()
+
+    def call(self, coroutine, timeout: float = 60.0):
+        """Run ``coroutine`` on the endpoint's loop; return its result."""
+
+        if self._loop is None:
+            coroutine.close()
+            raise RuntimeError(f"{self.NAME} is not running")
+        try:
+            future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
+        except RuntimeError:
+            # The loop has closed: the coroutine never started, so close
+            # the orphan.  Never close a *scheduled* coroutine — it
+            # belongs to the loop.
+            coroutine.close()
+            raise
+        return future.result(timeout)
+
+    def stats(self) -> Dict[str, Any]:
+        """The endpoint's stats snapshot, fetched thread-safely."""
+
+        if self.endpoint is None:
+            raise RuntimeError(f"{self.NAME} is not running")
+        return self.call(self.endpoint.stats_snapshot_async())
+
+    def stop(self, timeout: float = 60.0) -> None:
+        """Drain the endpoint gracefully and join its thread.
+
+        A drain that already happened (a client-driven ``shutdown``) or
+        that fails is not an error here: stopping is best-effort.
+        """
+
+        if self.endpoint is not None:
+            try:
+                self.call(self.endpoint.drain(), timeout)
+            except Exception:  # pragma: no cover - closed loop, slow drain
+                pass
+        if self._thread is not None:
+            self._thread.join(timeout)
+
+
 class Link:
     """One pipelined JSON-lines connection, its replies matched by id.
 
@@ -533,17 +650,24 @@ class Link:
         """Open the connection, send ``hello`` and start the read loop.
 
         ``accept`` checks the reply to ``hello`` and raises to refuse it;
-        on any failure the socket is closed and the error propagates.
+        a peer that hangs up instead of replying raises
+        :class:`ConnectionError`.  On any failure the socket is closed and
+        the error propagates.
         """
 
         reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port, limit=STREAM_LIMIT),
+            asyncio.open_connection(  # hotpath: ok
+                self.host, self.port, limit=STREAM_LIMIT
+            ),
             timeout=timeout,
         )
         try:
             writer.write(encode_message(hello))
             await asyncio.wait_for(writer.drain(), timeout=timeout)
-            accept(decode_message(await asyncio.wait_for(reader.readline(), timeout=timeout)))
+            reply = await asyncio.wait_for(reader.readline(), timeout=timeout)
+            if not reply:
+                raise ConnectionError("connection closed during the handshake")
+            accept(decode_message(reply))
         except BaseException:
             writer.close()
             raise

@@ -58,6 +58,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.service.endpoint import (
     SEND_TIMEOUT_SECONDS,
     STREAM_LIMIT,
+    BackgroundEndpoint,
     Endpoint,
     Link,
     cancel_task,
@@ -802,7 +803,7 @@ class ThreadShard:
         self._embedded.stop(timeout)
 
 
-class Fleet:
+class Fleet(BackgroundEndpoint):
     """The synchronous fleet supervisor: router thread + N shards.
 
     ``with Fleet(shards=3) as fleet:`` starts the router (on a dedicated
@@ -812,6 +813,9 @@ class Fleet:
     ``peer_port``, the live ``shards`` list and fault-injection helpers.
     Exit drains the whole fleet gracefully.
     """
+
+    NAME = "fleet router"
+    THREAD_NAME = "repro-fleet-router"
 
     def __init__(
         self,
@@ -838,12 +842,10 @@ class Fleet:
             raise ValueError(f"backend must be 'process' or 'thread', got {backend!r}")
         if policy_interval <= 0:
             raise ValueError(f"policy_interval must be > 0, got {policy_interval!r}")
+        super().__init__(startup_timeout)
         self.shard_count = shards
         self.backend = backend
         self.host = host
-        self.port: Optional[int] = None
-        self.peer_port: Optional[int] = None
-        self.router: Optional[FleetRouter] = None
         self.shards: List[Any] = []
         self._requested_port = port
         self._requested_peer_port = peer_port
@@ -854,11 +856,6 @@ class Fleet:
         self._max_queue = max_queue
         self._stall_timeout = stall_timeout
         self._tier_entries = tier_entries
-        self._startup_timeout = startup_timeout
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._failure: Optional[BaseException] = None
         # Policy-driven remediation (opt-in): a supervisor thread polls the
         # router's health sample, steps the policy engine, and *executes*
         # quarantine/restart decisions against the shard handles.  Off by
@@ -872,17 +869,29 @@ class Fleet:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def __enter__(self) -> "Fleet":
-        self._thread = threading.Thread(
-            target=self._run_router, name="repro-fleet-router", daemon=True
+    @property
+    def router(self) -> Optional[FleetRouter]:
+        """The live router (None until started)."""
+
+        return self.endpoint
+
+    @property
+    def peer_port(self) -> Optional[int]:
+        """The router's bound peering port (None until started)."""
+
+        return self.endpoint.peer_port if self.endpoint is not None else None
+
+    def _build_endpoint(self) -> FleetRouter:
+        return FleetRouter(
+            host=self.host,
+            port=self._requested_port,
+            peer_port=self._requested_peer_port,
+            stall_timeout=self._stall_timeout,
+            tier_entries=self._tier_entries,
         )
-        self._thread.start()
-        if not self._ready.wait(self._startup_timeout):
-            raise RuntimeError("fleet router did not start in time")
-        if self._failure is not None:
-            raise RuntimeError(
-                f"fleet router failed to start: {self._failure}"
-            ) from self._failure
+
+    def __enter__(self) -> "Fleet":
+        super().__enter__()
         try:
             for index in range(self.shard_count):
                 self._spawn_shard(index)
@@ -895,50 +904,6 @@ class Fleet:
             )
             self._policy_thread.start()
         return self
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
-
-    def _run_router(self) -> None:
-        try:
-            asyncio.run(self._router_main())
-        except BaseException as exc:  # pragma: no cover - surfaced via _failure
-            self._failure = exc
-            self._ready.set()
-
-    async def _router_main(self) -> None:
-        try:
-            router = FleetRouter(
-                host=self.host,
-                port=self._requested_port,
-                peer_port=self._requested_peer_port,
-                stall_timeout=self._stall_timeout,
-                tier_entries=self._tier_entries,
-            )
-            await router.start()
-        except BaseException as exc:
-            self._failure = exc
-            self._ready.set()
-            return
-        self.router = router
-        self.port = router.port
-        self.peer_port = router.peer_port
-        self._loop = asyncio.get_running_loop()
-        self._ready.set()
-        await router.serve_forever()
-
-    def _call(self, coroutine, timeout: float = 60.0):
-        """Run a coroutine on the router's loop from the calling thread."""
-
-        if self._loop is None:
-            coroutine.close()
-            raise RuntimeError("fleet router is not running")
-        try:
-            future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        except RuntimeError:
-            coroutine.close()
-            raise
-        return future.result(timeout)
 
     def _make_shard(self, shard_id: str):
         """Construct (but do not start) one shard handle with the fleet's config."""
@@ -964,7 +929,7 @@ class Fleet:
         shard = self._make_shard(shard_id)
         shard.start()
         assert self.router is not None and shard.port is not None
-        self._call(self.router.attach_shard(shard_id, self.host, shard.port))
+        self.call(self.router.attach_shard(shard_id, self.host, shard.port))
         self.shards.append(shard)
 
     # -- policy-driven remediation ------------------------------------------------
@@ -981,7 +946,7 @@ class Fleet:
             if self.router is None:
                 continue
             try:
-                sample = self._call(self.router.health_sample_async(), timeout=10.0)
+                sample = self.call(self.router.health_sample_async(), timeout=10.0)
             except Exception:
                 continue
             for decision in self.policy.step(sample):
@@ -998,7 +963,7 @@ class Fleet:
         """Carry out one policy decision against the router and shards."""
 
         if decision.action == "quarantine":
-            self._call(
+            self.call(
                 self.router.quarantine_shard(decision.target, decision.reason),
                 timeout=10.0,
             )
@@ -1032,7 +997,7 @@ class Fleet:
         replacement = self._make_shard(shard_id)
         replacement.start()
         assert replacement.port is not None
-        self._call(
+        self.call(
             self.router.attach_shard(shard_id, self.host, replacement.port),
             timeout=30.0,
         )
@@ -1050,25 +1015,12 @@ class Fleet:
         if self._policy_thread is not None:
             self._policy_thread.join(timeout)
             self._policy_thread = None
-        loop, router = self._loop, self.router
-        if loop is not None and router is not None and not loop.is_closed():
-            coroutine = router.drain()
-            try:
-                future = asyncio.run_coroutine_threadsafe(coroutine, loop)
-            except RuntimeError:
-                coroutine.close()
-            else:
-                try:
-                    future.result(timeout)
-                except Exception:  # pragma: no cover - slow/failed drain
-                    pass
+        super().stop(timeout)
         for shard in self.shards:
             try:
                 shard.stop()
             except Exception:  # pragma: no cover - best-effort reap
                 pass
-        if self._thread is not None:
-            self._thread.join(timeout)
 
     # -- operations ---------------------------------------------------------------
 
@@ -1094,10 +1046,3 @@ class Fleet:
         """SIGCONT a suspended shard (process backend)."""
 
         self.shard(shard_id).resume()
-
-    def stats(self) -> Dict[str, Any]:
-        """The fleet-wide stats snapshot, fetched thread-safely."""
-
-        if self.router is None:
-            raise RuntimeError("fleet is not running")
-        return self._call(self.router.stats_snapshot_async())

@@ -71,16 +71,14 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import random
 
-from repro.service.endpoint import Link
+from repro.service.client import AsyncServiceClient
 from repro.service.metrics import LatencyHistogram
 from repro.service.protocol import (
-    hello_message,
     parse_compile_request,
     resolve_compile_request,
     response_result_bytes,
     result_payload,
 )
-from repro.service.client import _check_hello  # shared handshake validation
 from repro.workloads.catalog import get_catalog
 from repro.workloads.scenarios import scenario_names
 
@@ -232,69 +230,11 @@ def oracle_results(plan: Sequence[Mapping[str, Any]]) -> Dict[str, bytes]:
             machine=request.target,
             cost_model=request.cost_model,
             techniques=list(request.techniques),
-            verify=True,
         )
         truth[signature] = json.dumps(
             result_payload(resolved, compiled), sort_keys=True
         ).encode("utf-8")
     return truth
-
-
-# ---------------------------------------------------------------------------
-# The pipelined connection (open-loop driver building block).
-# ---------------------------------------------------------------------------
-
-
-class _PipelinedClient(Link):
-    """One connection with id-demultiplexed concurrent requests.
-
-    Unlike :class:`~repro.service.client.AsyncServiceClient` this allows
-    many requests in flight at once on a single connection: a reader task
-    routes every response to its request's future by id.  Requests keep
-    the ids the plan gave them.
-    """
-
-    @classmethod
-    async def connect(cls, host: str, port: int, timeout: float) -> "_PipelinedClient":
-        """Open, handshake and start the response demultiplexer."""
-
-        client = cls(host, port, id_prefix="")
-        await client._connect(hello_message(), _check_hello, timeout)
-        return client
-
-    @property
-    def protocol_errors(self) -> int:
-        """Responses that failed to parse or matched no pending request."""
-
-        return self.errors
-
-    def _received(self, message: Dict[str, Any]) -> bool:
-        matched = super()._received(message)
-        if not matched:
-            self.errors += 1
-        return matched
-
-    def _connection_lost(self) -> None:
-        # Fail anything still outstanding so callers do not hang.
-        self._teardown(ConnectionError("connection closed with requests in flight"))
-
-    async def request(
-        self, message: Mapping[str, Any], timeout: float
-    ) -> Dict[str, Any]:
-        """Send one message and await the response with the matching id."""
-
-        return await self._exchange(dict(message), None, timeout)
-
-    async def close(self) -> None:
-        """Stop the demultiplexer and close the connection."""
-
-        writer = self._writer
-        await self._close(ConnectionError("connection closed"))
-        if writer is not None:
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionResetError):  # pragma: no cover
-                pass
 
 
 # ---------------------------------------------------------------------------
@@ -442,18 +382,18 @@ async def _drive(
     """Replay the plan against the server in the requested mode."""
 
     connections = [
-        await _PipelinedClient.connect(host, port, timeout) for _ in range(clients)
+        await AsyncServiceClient.connect(host, port, timeout) for _ in range(clients)
     ]
     loop = asyncio.get_running_loop()
 
     sampler_task: Optional[asyncio.Task] = None
-    sampler: Optional[_PipelinedClient] = None
+    sampler: Optional[AsyncServiceClient] = None
     if metric_trace is not None:
         # The sampler rides its own connection so stats polling never
         # contends with load traffic for a pipelined writer.
-        sampler = await _PipelinedClient.connect(host, port, timeout)
+        sampler = await AsyncServiceClient.connect(host, port, timeout)
 
-        async def sample_loop(connection: _PipelinedClient) -> None:
+        async def sample_loop(connection: AsyncServiceClient) -> None:
             sequence = 0
             while True:
                 try:
@@ -471,7 +411,7 @@ async def _drive(
 
         sampler_task = asyncio.ensure_future(sample_loop(sampler))
 
-    async def submit(connection: _PipelinedClient, message: Mapping[str, Any]) -> None:
+    async def submit(connection: AsyncServiceClient, message: Mapping[str, Any]) -> None:
         started = loop.time()
         try:
             response = await connection.request(message, timeout)
@@ -499,7 +439,7 @@ async def _drive(
         if mode == "closed":
             cursor = 0
 
-            async def worker(connection: _PipelinedClient) -> None:
+            async def worker(connection: AsyncServiceClient) -> None:
                 nonlocal cursor
                 while cursor < len(plan):
                     message = plan[cursor]
@@ -529,7 +469,7 @@ async def _drive(
         if sampler is not None:
             await sampler.close()
         for connection in connections:
-            report.protocol_errors += connection.protocol_errors
+            report.protocol_errors += connection.errors
         # Fetch the server's own view before closing (stats ride the load
         # connections, so no extra connection skews the counters).
         report.server_stats = await _fetch_final_stats(connections, timeout)
@@ -548,7 +488,7 @@ PARTIAL_STATS = {
 
 
 async def _fetch_final_stats(
-    connections: Sequence["_PipelinedClient"], timeout: float
+    connections: Sequence[AsyncServiceClient], timeout: float
 ) -> Dict[str, Any]:
     """The server's end-of-run stats, racing a possible drain gracefully.
 

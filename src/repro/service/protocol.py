@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.ir.fingerprint import (
     compile_options_token,
@@ -187,8 +187,24 @@ def _check_fields(message: Mapping[str, Any], allowed: Sequence[str], kind: str)
 # ---------------------------------------------------------------------------
 
 
+class _WireRequest:
+    """What every request kind shares: its work identity on the wire."""
+
+    def signature(self) -> str:
+        """A canonical byte-stable identity of the request *work* (id excluded).
+
+        Two requests with equal signatures must receive byte-identical
+        ``result`` payloads — the consistency invariant the load harness
+        checks across duplicates, coalesced answers and cache replays.
+        """
+
+        payload = self.to_message()
+        del payload["id"]
+        return json.dumps(payload, sort_keys=True)
+
+
 @dataclass(frozen=True)
-class CompileRequest:
+class CompileRequest(_WireRequest):
     """One validated compile request (wire form, not yet resolved to IR).
 
     ``program`` is exactly one of ``{"ir": <text>}`` or
@@ -231,27 +247,60 @@ class CompileRequest:
             message["lint"] = self.lint
         return message
 
-    def signature(self) -> str:
-        """A canonical byte-stable identity of the request *work* (id excluded).
 
-        Two requests with equal signatures must receive byte-identical
-        ``result`` payloads — the consistency invariant the load harness
-        checks across duplicates, coalesced answers and cache replays.
-        """
-
-        payload = self.to_message()
-        del payload["id"]
-        return json.dumps(payload, sort_keys=True)
+#: The fields every request kind shares, validated by :func:`_parse_common`.
+_COMMON_FIELDS = ("id", "program", "target", "profile", "cache")
 
 
-def parse_compile_request(message: Mapping[str, Any]) -> CompileRequest:
-    """Strictly validate a ``compile`` message into a :class:`CompileRequest`."""
+def _parse_profile(
+    profile: Any, program: Mapping[str, Any]
+) -> Optional[Dict[str, Any]]:
+    """Validate a request's optional corpus-shape ``profile`` object."""
 
-    _check_fields(
-        message,
-        ("id", "program", "target", "cost_model", "techniques", "profile", "cache", "lint"),
-        "compile",
-    )
+    if profile is None:
+        return None
+    if "ir" not in program:
+        raise ProtocolError("field 'profile' is only valid for inline-IR programs")
+    if not isinstance(profile, Mapping):
+        raise ProtocolError("field 'profile' must be an object")
+    extra = sorted(set(profile) - {"invocations", "probabilities"})
+    if extra:
+        raise ProtocolError(f"profile has unknown field(s): {', '.join(extra)}")
+    invocations = profile.get("invocations", DEFAULT_INVOCATIONS)
+    if not isinstance(invocations, (int, float)) or isinstance(invocations, bool):
+        raise ProtocolError("profile 'invocations' must be a number")
+    if invocations <= 0:
+        raise ProtocolError("profile 'invocations' must be positive")
+    probabilities = profile.get("probabilities", {})
+    if not isinstance(probabilities, Mapping):
+        raise ProtocolError("profile 'probabilities' must be an object")
+    for key, value in probabilities.items():
+        if not isinstance(key, str) or "->" not in key:
+            raise ProtocolError(
+                f"profile probability key {key!r} must look like 'src->dst'"
+            )
+        if (
+            not isinstance(value, (int, float))
+            or isinstance(value, bool)
+            or not 0.0 <= float(value) <= 1.0
+        ):
+            raise ProtocolError(
+                f"profile probability for {key!r} must be a number in [0, 1]"
+            )
+    return dict(profile)
+
+
+def _parse_common(
+    message: Mapping[str, Any], kind: str, own_fields: Sequence[str]
+) -> Dict[str, Any]:
+    """Strictly validate the :data:`_COMMON_FIELDS` of a ``kind`` request.
+
+    ``own_fields`` are the kind's further fields, which the caller
+    validates; any other field is an error.  Returns the common fields as
+    keyword arguments for the request dataclass.
+    """
+
+    _check_fields(message, _COMMON_FIELDS + tuple(own_fields), kind)
     request_id = _require_str(message, "id")
     program = message.get("program")
     if not isinstance(program, Mapping):
@@ -264,12 +313,29 @@ def parse_compile_request(message: Mapping[str, Any]) -> CompileRequest:
         )
     if not isinstance(program[keys[0]], str) or not program[keys[0]]:
         raise ProtocolError(f"program {keys[0]!r} must be a non-empty string")
-
     target = _require_str(message, "target", DEFAULT_TARGET)
     if target not in available_targets():
         raise ProtocolError(
             f"unknown target {target!r}; expected one of {', '.join(available_targets())}"
         )
+    cache = _require_str(message, "cache", "use")
+    if cache not in CACHE_POLICIES:
+        raise ProtocolError(
+            f"unknown cache policy {cache!r}; expected one of {', '.join(CACHE_POLICIES)}"
+        )
+    return {
+        "id": request_id,
+        "program": dict(program),
+        "target": target,
+        "profile": _parse_profile(message.get("profile"), program),
+        "cache": cache,
+    }
+
+
+def parse_compile_request(message: Mapping[str, Any]) -> CompileRequest:
+    """Strictly validate a ``compile`` message into a :class:`CompileRequest`."""
+
+    common = _parse_common(message, "compile", ("cost_model", "techniques", "lint"))
     cost_model = _require_str(message, "cost_model", "jump_edge")
     if cost_model not in COST_MODELS:
         raise ProtocolError(
@@ -290,59 +356,13 @@ def parse_compile_request(message: Mapping[str, Any]) -> CompileRequest:
         )
     if len(set(techniques)) != len(techniques):
         raise ProtocolError("field 'techniques' must not repeat entries")
-
-    cache = _require_str(message, "cache", "use")
-    if cache not in CACHE_POLICIES:
-        raise ProtocolError(
-            f"unknown cache policy {cache!r}; expected one of {', '.join(CACHE_POLICIES)}"
-        )
-
     lint = _require_str(message, "lint", "off")
     if lint not in LINT_WIRE_POLICIES:
         raise ProtocolError(
             f"unknown lint policy {lint!r}; expected one of {', '.join(LINT_WIRE_POLICIES)}"
         )
-
-    profile = message.get("profile")
-    if profile is not None:
-        if "ir" not in program:
-            raise ProtocolError("field 'profile' is only valid for inline-IR programs")
-        if not isinstance(profile, Mapping):
-            raise ProtocolError("field 'profile' must be an object")
-        extra = sorted(set(profile) - {"invocations", "probabilities"})
-        if extra:
-            raise ProtocolError(f"profile has unknown field(s): {', '.join(extra)}")
-        invocations = profile.get("invocations", DEFAULT_INVOCATIONS)
-        if not isinstance(invocations, (int, float)) or isinstance(invocations, bool):
-            raise ProtocolError("profile 'invocations' must be a number")
-        if invocations <= 0:
-            raise ProtocolError("profile 'invocations' must be positive")
-        probabilities = profile.get("probabilities", {})
-        if not isinstance(probabilities, Mapping):
-            raise ProtocolError("profile 'probabilities' must be an object")
-        for key, value in probabilities.items():
-            if not isinstance(key, str) or "->" not in key:
-                raise ProtocolError(
-                    f"profile probability key {key!r} must look like 'src->dst'"
-                )
-            if (
-                not isinstance(value, (int, float))
-                or isinstance(value, bool)
-                or not 0.0 <= float(value) <= 1.0
-            ):
-                raise ProtocolError(
-                    f"profile probability for {key!r} must be a number in [0, 1]"
-                )
-
     return CompileRequest(
-        id=request_id,
-        program=dict(program),
-        target=target,
-        cost_model=cost_model,
-        techniques=tuple(techniques),
-        profile=dict(profile) if profile is not None else None,
-        cache=cache,
-        lint=lint,
+        cost_model=cost_model, techniques=tuple(techniques), lint=lint, **common
     )
 
 
@@ -571,9 +591,7 @@ def resolve_compile_request(request: CompileRequest) -> ResolvedCompile:
     machine = resolve_target(request.target)
     function, profile = _resolve_program(request.program, request.profile, machine)
     cost_model = make_cost_model(request.cost_model, machine)
-    token = compile_options_token(
-        machine, cost_model, request.techniques, True, True
-    )
+    token = compile_options_token(machine, cost_model, request.techniques, True)
     # Named cost models always have an identity, so the token never misses.
     assert token is not None
     key = procedure_cache_key(function, profile, token, kind="compile")
@@ -594,11 +612,11 @@ def resolve_compile_request(request: CompileRequest) -> ResolvedCompile:
 
 
 @dataclass(frozen=True)
-class LintRequest:
+class LintRequest(_WireRequest):
     """One validated ``lint`` request (wire form).
 
-    Shares the ``program``/``target``/``profile`` vocabulary of compile
-    requests; ``select``/``ignore`` mirror the CLI flags and restrict the
+    Shares the ``id``/``program``/``target``/``profile``/``cache`` fields of
+    compile requests, validated by the same parser; ``select``/``ignore`` mirror the CLI flags and restrict the
     rule set.  Lint reports are pure functions of (IR, profile, target,
     enabled rules), so the request is cacheable and fleet-routable exactly
     like a compile.
@@ -630,13 +648,6 @@ class LintRequest:
             message["ignore"] = list(self.ignore)
         return message
 
-    def signature(self) -> str:
-        """Canonical byte-stable identity of the request work (id excluded)."""
-
-        payload = self.to_message()
-        del payload["id"]
-        return json.dumps(payload, sort_keys=True)
-
 
 def _parse_rule_codes(message: Mapping[str, Any], key: str) -> Optional[Tuple[str, ...]]:
     value = message.get(key)
@@ -654,44 +665,11 @@ def _parse_rule_codes(message: Mapping[str, Any], key: str) -> Optional[Tuple[st
 def parse_lint_request(message: Mapping[str, Any]) -> LintRequest:
     """Strictly validate a ``lint`` message into a :class:`LintRequest`."""
 
-    _check_fields(
-        message, ("id", "program", "target", "profile", "select", "ignore", "cache"), "lint"
-    )
-    request_id = _require_str(message, "id")
-    program = message.get("program")
-    if not isinstance(program, Mapping):
-        raise ProtocolError("field 'program' must be an object")
-    keys = sorted(program)
-    if keys not in (["ir"], ["scenario"], ["catalog"]):
-        raise ProtocolError(
-            "field 'program' must have exactly one of the keys "
-            "'ir', 'scenario' or 'catalog'"
-        )
-    if not isinstance(program[keys[0]], str) or not program[keys[0]]:
-        raise ProtocolError(f"program {keys[0]!r} must be a non-empty string")
-    target = _require_str(message, "target", DEFAULT_TARGET)
-    if target not in available_targets():
-        raise ProtocolError(
-            f"unknown target {target!r}; expected one of {', '.join(available_targets())}"
-        )
-    cache = _require_str(message, "cache", "use")
-    if cache not in CACHE_POLICIES:
-        raise ProtocolError(
-            f"unknown cache policy {cache!r}; expected one of {', '.join(CACHE_POLICIES)}"
-        )
-    profile = message.get("profile")
-    if profile is not None and not isinstance(profile, Mapping):
-        raise ProtocolError("field 'profile' must be an object")
-    select = _parse_rule_codes(message, "select")
-    ignore = _parse_rule_codes(message, "ignore")
+    common = _parse_common(message, "lint", ("select", "ignore"))
     return LintRequest(
-        id=request_id,
-        program=dict(program),
-        target=target,
-        profile=dict(profile) if profile is not None else None,
-        select=select,
-        ignore=ignore,
-        cache=cache,
+        select=_parse_rule_codes(message, "select"),
+        ignore=_parse_rule_codes(message, "ignore"),
+        **common,
     )
 
 

@@ -617,7 +617,6 @@ class CompileServer(Endpoint):
                     machine=target,
                     cost_model=cost_model,
                     techniques=list(techniques),
-                    verify=True,
                     maximal_regions=True,
                     workers=self.workers,
                     cache=self.cache if policy == "use" else None,

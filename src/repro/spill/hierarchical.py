@@ -23,7 +23,7 @@ jump edges and is the model evaluated in the paper's experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis.pst import ProgramStructureTree, Region, build_pst
 from repro.ir.cfg import FunctionCFG
@@ -37,7 +37,6 @@ from repro.spill.cost_models import (
     make_cost_model,
     requires_jump_block,
 )
-from repro.spill.entry_exit import entry_exit_set
 from repro.spill.model import (
     CalleeSavedUsage,
     EdgeKey,
@@ -127,7 +126,7 @@ def _set_endpoint_labels(srset: SaveRestoreSet, cache: Dict[int, Tuple]) -> set:
 def _contained_sets(
     region: Region,
     sets: List[SaveRestoreSet],
-    endpoint_cache: Optional[Dict[int, Tuple]] = None,
+    endpoint_cache: Dict[int, Tuple],
 ) -> List[SaveRestoreSet]:
     """The save/restore sets fully contained in ``region``.
 
@@ -138,8 +137,6 @@ def _contained_sets(
 
     if region.is_root:
         return list(sets)
-    if endpoint_cache is None:
-        return [s for s in sets if s.is_contained_in_blocks(region.blocks)]
     blocks = region.blocks
     return [s for s in sets if _set_endpoint_labels(s, endpoint_cache) <= blocks]
 
@@ -176,8 +173,9 @@ def place_hierarchical(
     The result is checked per register against the callee-saved convention;
     a register whose hoisted sets fail the check (possible only outside the
     paper's structural assumptions, e.g. on irreducible flowgraphs) reverts
-    to its initial shrink-wrapping sets — or, failing those too, to the
-    entry/exit pair — and is recorded in
+    to its initial shrink-wrapping sets (already checked, or replaced by the
+    entry/exit pair, by :func:`~repro.spill.shrink_wrap.place_shrink_wrap`)
+    and is recorded in
     :attr:`~repro.spill.model.SpillPlacement.fallback_registers`.
     """
 
@@ -265,15 +263,14 @@ def place_hierarchical(
     # machinery guarantees on well-formed flowgraphs.  On shapes outside
     # those assumptions (degenerate or irreducible graphs) a hoisted set
     # could still violate the convention — such a register reverts to its
-    # initial (already validated) sets, or to entry/exit as a last resort.
+    # initial sets, which ``place_shrink_wrap`` already validated (or
+    # replaced by the entry/exit pair).
     placement = SpillPlacement(function.name, f"hierarchical[{cost_model.name}]")
     placement.fallback_registers = list(initial.fallback_registers)
     for register, sets in current.items():
         used_blocks = usage.blocks_for(register)
         if not register_sets_are_sound(function, register, used_blocks, sets, cfg=cfg):
             sets = initial.sets_for(register)
-            if not register_sets_are_sound(function, register, used_blocks, sets, cfg=cfg):
-                sets = [entry_exit_set(function, register)]
             if register not in placement.fallback_registers:
                 placement.fallback_registers.append(register)
         for srset in sets:

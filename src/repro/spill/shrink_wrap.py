@@ -37,16 +37,14 @@ algorithm (paper, Section 4) applies neither restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.loops import LoopForest
-from repro.ir.cfg import EdgeKind, FunctionCFG
+from repro.ir.cfg import FunctionCFG
 from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL, Function
-from repro.ir.values import PhysicalRegister
 from repro.spill.model import (
     CalleeSavedUsage,
     EdgeKey,
-    SaveRestoreSet,
     SpillKind,
     SpillLocation,
     SpillPlacement,
@@ -253,7 +251,6 @@ def shrink_wrap_edges(
     used_blocks: FrozenSet[str],
     allow_jump_edges: bool = True,
     avoid_loops: bool = False,
-    max_iterations: Optional[int] = None,
     cfg: Optional[FunctionCFG] = None,
 ) -> Tuple[Set[EdgeKey], Set[EdgeKey]]:
     """Shrink-wrapping save/restore edges for one register.
@@ -275,8 +272,7 @@ def shrink_wrap_edges(
         loops = cfg.loop_forest()
         occupied = _expand_through_loops(function, occupied, loops)
 
-    limit = max_iterations if max_iterations is not None else len(function) + 2
-    for _ in range(limit):
+    for _ in range(len(function) + 2):
         saves, restores = save_restore_edges(function, occupied, cfg=cfg)
         if allow_jump_edges:
             return saves, restores

@@ -25,7 +25,6 @@ def _compile(cache):
         machine=request.target,
         cost_model=request.cost_model,
         techniques=list(request.techniques),
-        verify=True,
         maximal_regions=True,
         cache=cache,
     )

@@ -13,6 +13,7 @@ from hypothesis import given
 from repro.ir.fingerprint import (
     FINGERPRINT_SCHEMA_VERSION,
     compile_options_token,
+    lint_options_token,
     cost_model_identity,
     fingerprint_function,
     fingerprint_module,
@@ -144,7 +145,6 @@ class TestCacheKey:
             machine=parisc_target(),
             cost_model=make_cost_model("jump_edge", parisc_target()),
             techniques=TECHNIQUES,
-            verify=True,
             maximal_regions=True,
         )
         defaults.update(overrides)
@@ -165,13 +165,25 @@ class TestCacheKey:
             {"machine": get_target("micro")},
             {"cost_model": make_cost_model("execution_count", parisc_target())},
             {"techniques": ("baseline",)},
-            {"verify": False},
             {"maximal_regions": False},
         ],
-        ids=["target", "cost-model", "techniques", "verify", "regions"],
+        ids=["target", "cost-model", "techniques", "regions"],
     )
     def test_every_option_changes_the_token(self, override):
         assert self._token(**override) != self._token()
+
+    def test_default_token_digest_is_pinned(self):
+        # Compile cache keys must not move: this is the digest from when
+        # ``verify`` was still an option (always on by default).
+        assert self._token() == (
+            "b411b6c7bf0242fa64568075fc0c5dcbb4c1525c094997d9f68d9f203b16f994"
+        )
+
+    def test_lint_token_digest_is_pinned(self):
+        rules = ",".join(f"R{n:03d}" for n in range(1, 11))
+        assert lint_options_token(get_target("parisc"), rules) == (
+            "44661ef2b8fc54629c93234803161f4c37ffbfb1c5097b0984f421d507349fe8"
+        )
 
     def test_key_separates_compile_and_measure_namespaces(self):
         procedure = build_suite(names=["mcf"], scale=0.1)[0].procedures[0]

@@ -161,7 +161,7 @@ class TestCacheKey:
             messy,
             profile,
             compile_options_token(machine, "lint:" + ",".join(sorted(
-                r.code for r in resolve_rule_codes())), (), False, False),
+                r.code for r in resolve_rule_codes())), (), False),
             kind="compile",
         )
         assert lint_key != compile_key

@@ -175,9 +175,7 @@ class TestZeroCostOff:
         procedure = _procedures("classic_mix", "tiny", count=1)[0]
         machine = get_target("tiny")
         lint_key = lint_cache_key(procedure.function, procedure.profile, machine)
-        token = compile_options_token(
-            machine, "jump_edge", ("baseline",), True, True
-        )
+        token = compile_options_token(machine, "jump_edge", ("baseline",), True)
         compile_key = procedure_cache_key(
             procedure.function, procedure.profile, token, kind="compile"
         )

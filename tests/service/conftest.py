@@ -42,6 +42,18 @@ merge:
 }
 """
 
+#: Malformed ``profile`` objects every request kind must refuse the same way.
+MALFORMED_PROFILES = [
+    {"probabilities": "x"},
+    {"probabilities": {"no-arrow": 0.5}},
+    {"probabilities": {"a->b": 1.5}},
+    {"probabilities": {"a->b": -0.5}},
+    {"invocations": "many"},
+    {"invocations": 0},
+    {"invocations": -3.0},
+    {"unknown_knob": 1},
+]
+
 
 @pytest.fixture
 def embedded_server():
@@ -76,7 +88,6 @@ def oracle_result_bytes(message) -> bytes:
         machine=request.target,
         cost_model=request.cost_model,
         techniques=list(request.techniques),
-        verify=True,
     )[0]
     return json.dumps(result_payload(resolved, compiled), sort_keys=True).encode("utf-8")
 

@@ -129,7 +129,7 @@ def test_fleet_matches_serial_oracle_with_single_compile(fleet):
 
 def test_attach_duplicate_shard_id_rejected(fleet):
     with pytest.raises(Exception) as excinfo:
-        fleet._call(fleet.router.attach_shard("s0", fleet.host, 1))
+        fleet.call(fleet.router.attach_shard("s0", fleet.host, 1))
     assert "already attached" in str(excinfo.value)
 
 
@@ -187,7 +187,6 @@ def test_shard_peer_path_answers_from_a_prepopulated_tier(tmp_path):
         machine=resolved.request.target,
         cost_model=resolved.request.cost_model,
         techniques=list(resolved.request.techniques),
-        verify=True,
     )[0]
     payload = result_payload(resolved, compiled)
     truth = json.dumps(payload, sort_keys=True).encode("utf-8")

@@ -24,6 +24,7 @@ from repro.service.protocol import (
 )
 from repro.target.registry import get_target
 from repro.workloads.scenarios import build_scenario
+from tests.service.conftest import MALFORMED_PROFILES
 
 #: chaos_cfg seed 0 contains draws with genuine R001 errors — the strict
 #: rejection fixture (pinned by the lint trace file).
@@ -199,6 +200,30 @@ class TestFleetRouting:
                     client.compile(scenario=ERROR_SCENARIO, lint="strict")
         assert excinfo.value.code == "lint_rejected"
         assert excinfo.value.diagnostics is not None
+
+
+class TestLintProfileValidation:
+    """A malformed profile is a ``bad_request`` for lint exactly as for compile."""
+
+    @pytest.mark.parametrize("profile", MALFORMED_PROFILES)
+    def test_served_lint_refuses_like_compile(self, embedded_server, sample_ir, profile):
+        errors = []
+        with embedded_server(workers=1) as emb:
+            with ServiceClient(port=emb.port) as client:
+                for send in (client.compile, client.lint):
+                    with pytest.raises(ServiceError) as excinfo:
+                        send(ir=sample_ir, profile=profile)
+                    errors.append((excinfo.value.code, excinfo.value.detail))
+        assert errors[0] == errors[1]
+        assert errors[0][0] == "bad_request"
+
+    def test_served_lint_refuses_a_profile_on_a_scenario(self, embedded_server):
+        with embedded_server(workers=1) as emb:
+            with ServiceClient(port=emb.port) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.lint(scenario=WARN_SCENARIO, profile={"invocations": 10.0})
+        assert excinfo.value.code == "bad_request"
+        assert "only valid for inline-IR programs" in excinfo.value.detail
 
 
 class TestLintRequestProtocol:

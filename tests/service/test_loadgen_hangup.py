@@ -12,12 +12,8 @@ import threading
 
 import pytest
 
-from repro.service.loadgen import (
-    PARTIAL_STATS,
-    _PipelinedClient,
-    build_request_plan,
-    run_load,
-)
+from repro.service.client import AsyncServiceClient
+from repro.service.loadgen import PARTIAL_STATS, build_request_plan, run_load
 from repro.service.protocol import decode_message, encode_message, hello_message
 
 
@@ -72,7 +68,7 @@ def hangup_server():
 
 def test_request_on_a_closed_link_raises_connection_error(hangup_server):
     async def scenario():
-        client = await _PipelinedClient.connect("127.0.0.1", hangup_server, 10.0)
+        client = await AsyncServiceClient.connect("127.0.0.1", hangup_server, 10.0)
         reply = await client.request({"type": "stats", "id": "a"}, 10.0)
         assert reply["id"] == "a"
         for _ in range(200):
@@ -93,3 +89,21 @@ def test_closed_loop_run_counts_transport_errors_after_hangup(hangup_server):
     assert report.completed == 1
     assert report.transport_errors == len(plan) - 1
     assert report.server_stats == PARTIAL_STATS
+
+
+def test_hangup_before_the_handshake_reply_raises_connection_error():
+    async def scenario():
+        async def hang_up(reader, writer):
+            await reader.readline()
+            writer.close()
+
+        server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        try:
+            with pytest.raises(ConnectionError):
+                await AsyncServiceClient.connect("127.0.0.1", port, timeout=10.0)
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(scenario())

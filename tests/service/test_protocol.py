@@ -17,8 +17,10 @@ from repro.service.protocol import (
     hello_message,
     parse_compile_request,
     parse_hello,
+    parse_lint_request,
     resolve_compile_request,
 )
+from tests.service.conftest import MALFORMED_PROFILES
 
 
 def compile_message(**overrides):
@@ -135,6 +137,44 @@ class TestCompileRequestValidation:
         c = parse_compile_request(compile_message(target="tiny")).signature()
         assert a == b
         assert a != c
+
+
+class TestLintSharesCompileValidation:
+    """Compile and lint requests share one parser for their common fields."""
+
+    @pytest.mark.parametrize("profile", MALFORMED_PROFILES)
+    def test_malformed_profile_refused_identically(self, profile, sample_ir):
+        errors = []
+        for parse, kind in (
+            (parse_compile_request, "compile"),
+            (parse_lint_request, "lint"),
+        ):
+            message = {
+                "type": kind,
+                "id": "r1",
+                "program": {"ir": sample_ir},
+                "profile": profile,
+            }
+            with pytest.raises(ProtocolError) as excinfo:
+                parse(message)
+            errors.append((excinfo.value.code, str(excinfo.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] == "bad_request"
+
+    @pytest.mark.parametrize(
+        "program",
+        [{"scenario": "scenario:call_web:0:0"}, {"catalog": "catalog:gcd1_MD_RED"}],
+    )
+    def test_profile_on_a_reference_program_refused_for_lint(self, program):
+        message = {
+            "type": "lint",
+            "id": "r1",
+            "program": program,
+            "profile": {"invocations": 10.0},
+        }
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_lint_request(message)
+        assert str(excinfo.value) == "field 'profile' is only valid for inline-IR programs"
 
 
 class TestResolution:

@@ -21,7 +21,8 @@ import asyncio
 import json
 import os
 
-from repro.service.loadgen import _PipelinedClient, build_request_plan
+from repro.service.client import AsyncServiceClient
+from repro.service.loadgen import build_request_plan
 from repro.service.protocol import parse_compile_request, response_result_bytes
 from tests.service.conftest import oracle_result_bytes
 
@@ -61,7 +62,7 @@ def test_trace_replay_coalesces_deterministically(embedded_server):
             # is on the wire before any response is awaited, so the whole
             # trace is admitted within the batch window.
             connections = [
-                await _PipelinedClient.connect(emb.host, emb.port, timeout=60.0)
+                await AsyncServiceClient.connect(emb.host, emb.port, timeout=60.0)
                 for _ in range(2)
             ]
             try:

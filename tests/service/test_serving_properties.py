@@ -94,7 +94,6 @@ def serial_oracle(messages):
             machine=target,
             cost_model=cost_model,
             techniques=list(techniques),
-            verify=True,
         )
         for (signature, item), one in zip(items, compiled):
             truth[signature] = json.dumps(

@@ -31,7 +31,6 @@ compiled = compile_many(
     machine=request.target,
     cost_model=request.cost_model,
     techniques=list(request.techniques),
-    verify=True,
     maximal_regions=True,
 )[0]
 print(json.dumps(result_payload(resolved, compiled), sort_keys=True))

@@ -97,7 +97,7 @@ def _work(n: int):
         _count(monkeypatch, LoopForest, "__init__", counts, "loop_forests", active)
         active["dominator_trees"] += 1
         active["loop_forests"] += 1
-        compile_procedure(procedure, verify=False)
+        compile_procedure(procedure)
         active["dominator_trees"] -= 1
         active["loop_forests"] -= 1
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -105,7 +105,7 @@ def _work(n: int):
         _count(monkeypatch, LoopForest, "__init__", counts, "loop_forests_again", active)
         active["dominator_trees_again"] += 1
         active["loop_forests_again"] += 1
-        compile_procedure(procedure, verify=False)
+        compile_procedure(procedure)
     return len(procedure.function), counts
 
 

