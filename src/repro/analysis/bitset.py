@@ -147,6 +147,15 @@ class RegisterIndex:
             mask ^= low
 
 
+def bit_positions(mask: int) -> Iterator[int]:
+    """Yield the positions of the set bits of ``mask``, lowest first."""
+
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 # Persistent per-worker base indexes, keyed by target identity.  Every compile
 # for a target interns the same machine registers and the same low-numbered
 # virtual registers; building that prefix once per (process, target) and
@@ -358,9 +367,8 @@ class BitLiveness:
     """The liveness solution as bitmasks, plus the register index behind them.
 
     This is the representation the register-allocation hot path consumes
-    (:mod:`repro.regalloc.live_ranges`, :mod:`repro.regalloc.interference`);
-    the set-based :class:`~repro.analysis.liveness.LivenessInfo` is a lazy
-    view over it.
+    (:func:`repro.regalloc.live_ranges.scan_round`); the set-based
+    :class:`~repro.analysis.liveness.LivenessInfo` is a lazy view over it.
     """
 
     index: RegisterIndex
@@ -369,50 +377,17 @@ class BitLiveness:
     uses: Dict[str, int]
     defs: Dict[str, int]
     #: Per-block ``[(write_mask, read_mask)]`` instruction masks, built once
-    #: and shared by every consumer walking the instructions (live ranges,
-    #: interference, per-instruction liveness refinement).
+    #: (by the liveness solve's own walk) and shared by every consumer
+    #: walking the instructions (the allocator's round scan, per-instruction
+    #: liveness refinement).
     _inst_masks: Dict[str, List[Tuple[int, int]]] = field(default_factory=dict)
-
-    def virtual_register_mask(self) -> int:
-        """Mask over all interned bits that denote virtual registers.
-
-        With a forked per-target base index the index may carry virtual
-        registers the function never mentions; intersect with
-        :meth:`mentioned_mask` when enumerating a function's registers.
-        """
-
-        return self.index.virtual_mask
-
-    def mentioned_mask(self, function) -> int:
-        """Mask over the registers the function actually mentions.
-
-        Block-level ``uses``/``defs`` cover exactly the registers read or
-        written by the block's instructions, so their union over all blocks
-        plus the parameters reproduces the historical "walk every
-        instruction" enumeration — without the walk, and unpolluted by
-        whatever else a shared base index happens to carry.
-        """
-
-        mentioned = self.index.mask_of(function.params)
-        for mask in self.uses.values():
-            mentioned |= mask
-        for mask in self.defs.values():
-            mentioned |= mask
-        # Hand-built solutions (bit_liveness_from_sets) may carry registers
-        # that are live at a boundary without being mentioned in a block;
-        # computed solutions add nothing here (live sets are unions of uses).
-        for mask in self.live_in.values():
-            mentioned |= mask
-        for mask in self.live_out.values():
-            mentioned |= mask
-        return mentioned
 
     def instruction_masks(self, function, label: str) -> List[Tuple[int, int]]:
         """``(write_mask, read_mask)`` per instruction of block ``label``.
 
-        Cached on the solution object: live-range construction and
-        interference building walk the same blocks and would otherwise pack
-        the same operand tuples twice.
+        :func:`repro.analysis.liveness.compute_liveness` records them while
+        it solves; solutions built any other way pack them here on first
+        use.
         """
 
         cached = self._inst_masks.get(label)

@@ -141,22 +141,25 @@ def compute_liveness(
     for param in function.params:
         index.add(param)
 
+    mask_of = index.mask_of
     uses: Dict[str, int] = {}
     defs: Dict[str, int] = {}
+    inst_masks: Dict[str, List[Tuple[int, int]]] = {}
     for block in function.blocks:
         use_mask = 0
         def_mask = 0
+        masks = []
         for inst in block.instructions:
-            for reg in inst.registers_read():
-                bit = 1 << index.add(reg)
-                if not def_mask & bit:
-                    use_mask |= bit
-            for reg in inst.registers_written():
-                def_mask |= 1 << index.add(reg)
+            read_mask = mask_of(inst.registers_read())
+            write_mask = mask_of(inst.registers_written())
+            use_mask |= read_mask & ~def_mask
+            def_mask |= write_mask
+            masks.append((write_mask, read_mask))
         if call_clobbers and block.label in call_clobbers:
             def_mask |= index.mask_of(call_clobbers[block.label])
         uses[block.label] = use_mask
         defs[block.label] = def_mask
+        inst_masks[block.label] = masks
 
     # Function parameters are live at entry; return values are used at exits.
     problem = BitDataflowProblem(
@@ -173,6 +176,7 @@ def compute_liveness(
         live_out=result.block_out,
         uses=uses,
         defs=defs,
+        _inst_masks=inst_masks,
     )
     return LivenessInfo(
         live_in=MaskSetView(bits.live_in, index),

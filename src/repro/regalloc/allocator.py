@@ -2,9 +2,10 @@
 
 ``allocate_registers`` runs the classic Chaitin/Briggs loop:
 
-1. compute live ranges and the interference graph,
-2. colour the graph (caller-saved preferred, callee-saved for call-crossing
-   ranges),
+1. one walk over the function gathers live ranges, interference and move
+   partners, keyed by register bit position,
+2. colour the graph on those bit positions (caller-saved preferred,
+   callee-saved for call-crossing ranges),
 3. if some ranges could not be coloured, insert spill code for them and
    repeat.
 
@@ -18,21 +19,20 @@ for every placement technique, exactly as in the paper's methodology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
+from repro.analysis.liveness import compute_liveness
 from repro.ir.function import Function
 from repro.ir.values import PhysicalRegister, Register
 from repro.profiling.profile_data import EdgeProfile
 from repro.regalloc.callee_saved import compute_callee_saved_usage
-from repro.regalloc.coloring import ColoringResult, color_graph
-from repro.regalloc.interference import build_interference_graph
-from repro.regalloc.live_ranges import compute_live_ranges
+from repro.regalloc.coloring import color_round
+from repro.regalloc.live_ranges import block_weights, scan_round
 from repro.regalloc.rewriter import (
     apply_assignment,
     demote_overflow_parameters,
     insert_spill_code,
     isolate_parameters,
-    unassigned_virtual_registers,
 )
 from repro.spill.model import CalleeSavedUsage
 from repro.target.machine import MachineDescription
@@ -91,7 +91,9 @@ def allocate_registers(
     work = function if in_place else function.clone()
     isolate_parameters(work)
     demote_overflow_parameters(work, machine)
-    total_assignment: Dict[Register, PhysicalRegister] = {}
+    # Spill code adds no blocks or edges, so the block weights hold for
+    # every round.
+    weights = block_weights(work, profile)
     all_spilled: List[Register] = []
 
     rounds = 0
@@ -102,30 +104,31 @@ def allocate_registers(
                 f"register allocation of {function.name!r} did not converge after "
                 f"{max_rounds} rounds"
             )
-        ranges = compute_live_ranges(work, profile, machine=machine)
-        graph = build_interference_graph(work, ranges.liveness)
-        coloring = color_graph(graph, ranges, machine)
-        if coloring.is_complete:
-            total_assignment = coloring.assignment
+        liveness = compute_liveness(work, machine=machine)
+        scan = scan_round(work, liveness.bits, weights)
+        assigned, spilled = color_round(scan, machine)
+        fact_at = scan.index.fact_at
+        if not spilled:
             break
         # Spill the uncolourable ranges and try again; their reloads create
         # tiny live ranges which are always colourable eventually.
         already = set(all_spilled)
-        fresh = [r for r in coloring.spilled if r not in already]
+        fresh = [r for r in map(fact_at, spilled) if r not in already]
         if not fresh:
             raise RegisterAllocationError(
                 f"register allocation of {function.name!r} is stuck re-spilling "
-                f"{sorted(r.name for r in coloring.spilled)}"
+                f"{sorted(fact_at(bit).name for bit in spilled)}"
             )
         insert_spill_code(work, fresh)
         all_spilled.extend(fresh)
 
-    apply_assignment(work, total_assignment)
+    order = machine.allocation_order
+    total_assignment = {fact_at(bit): order[colour] for bit, colour in assigned}
+    leftovers = apply_assignment(work, total_assignment, liveness.bits)
     # Parameters live in their assigned physical registers from the entry on;
     # remap the signature so callers (and the interpreter) see the real
     # location of each argument.
     work.params = tuple(total_assignment.get(param, param) for param in work.params)
-    leftovers = unassigned_virtual_registers(work)
     if leftovers:
         raise RegisterAllocationError(
             f"virtual registers left after allocation of {function.name!r}: "

@@ -12,13 +12,13 @@ registers mentioned by the block's instructions — every written register is
 in ``defs``, and every read register is either upward-exposed (in ``uses``)
 or previously defined in the block (in ``defs``) — so the mask expression
 matches the historical "live through or mentioned" set computation
-bit for bit (:func:`compute_callee_saved_usage_reference`, kept for the
-differential property tests).
+bit for bit (the set-based reference lives with the differential tests in
+``tests/regalloc``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Set
+from typing import Dict, Set
 
 from repro.analysis.liveness import compute_liveness
 from repro.ir.function import Function
@@ -52,27 +52,3 @@ def compute_callee_saved_usage(
 
     return CalleeSavedUsage.from_blocks(occupancy)
 
-
-def compute_callee_saved_usage_reference(
-    function: Function, machine: MachineDescription
-) -> CalleeSavedUsage:
-    """The original set-based occupancy computation (differential reference)."""
-
-    callee_saved: FrozenSet[PhysicalRegister] = machine.callee_saved_set
-    liveness = compute_liveness(function)
-    occupancy: Dict[PhysicalRegister, Set[str]] = {}
-
-    for block in function.blocks:
-        label = block.label
-        present: Set[PhysicalRegister] = set()
-        for register in liveness.live_in[label] | liveness.live_out[label]:
-            if register in callee_saved:
-                present.add(register)  # live through or across the block
-        for inst in block.instructions:
-            for register in inst.registers():
-                if register in callee_saved:
-                    present.add(register)
-        for register in present:
-            occupancy.setdefault(register, set()).add(label)
-
-    return CalleeSavedUsage.from_blocks(occupancy)

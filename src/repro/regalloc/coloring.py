@@ -13,17 +13,24 @@ colouring: nodes are pushed on a stack in order of increasing "difficulty"
 (low degree first, then cheapest spill cost), popped in reverse order and
 coloured if possible.  Nodes that cannot be coloured become spill candidates
 and are returned to the driver, which inserts spill code and repeats.
+
+:func:`color_round` runs on register bit positions (a
+:class:`~repro.regalloc.live_ranges.RoundScan`): degrees and neighbour walks
+are mask operations, and a colour is an index into the machine's
+caller-first ``allocation_order``.  :func:`color_graph` is the adapter for
+the ``Register``-keyed public types.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
+from repro.analysis.bitset import RegisterIndex, bit_positions
 from repro.ir.values import PhysicalRegister, Register
 from repro.regalloc.interference import InterferenceGraph
-from repro.regalloc.live_ranges import LiveRangeInfo
+from repro.regalloc.live_ranges import LiveRange, LiveRangeInfo, RoundScan
 from repro.regalloc.rewriter import is_spill_temp
 from repro.target.machine import MachineDescription
 
@@ -45,43 +52,152 @@ class ColoringResult:
         }
 
 
-def _allowed_registers(
-    register: Register,
-    ranges: LiveRangeInfo,
-    machine: MachineDescription,
-) -> Tuple[PhysicalRegister, ...]:
-    """The physical registers a virtual register may be assigned, in preference order."""
+def _colour_range(scan: RoundScan, low: int, machine: MachineDescription) -> Tuple[int, int]:
+    """The ``allocation_order`` slice a node may be coloured from, as ``(start, stop)``.
 
-    live_range = ranges.ranges.get(register)
-    crosses_call = live_range.crosses_call if live_range is not None else False
-    used_by_return = live_range.used_by_return if live_range is not None else False
-    is_parameter = live_range.is_parameter if live_range is not None else False
-    if is_parameter and not crosses_call:
-        # Incoming arguments live in caller-saved registers.
-        return machine.caller_saved
-    if is_parameter and crosses_call:
-        # Should not happen once parameters are isolated at the entry; spill
-        # defensively rather than hand an argument a callee-saved register.
-        return ()
+    ``allocation_order`` lists the caller-saved registers first, so each
+    register class is a contiguous slice and scanning it upwards is the
+    class's preference order.
+    """
+
+    callers = len(machine.caller_saved)
+    everything = len(machine.allocation_order)
+    crosses_call = scan.crosses_call & low
+    used_by_return = scan.used_by_return & low
+    if scan.parameters & low:
+        # Incoming arguments live in caller-saved registers.  One that crosses
+        # a call should not happen once parameters are isolated at the entry;
+        # spill it defensively rather than hand it a callee-saved register.
+        return (0, 0) if crosses_call else (0, callers)
     if crosses_call and used_by_return:
         # The value must survive a call (needs a callee-saved register) *and*
         # be returned (needs a caller-saved register): no single register
         # satisfies both, so the range is always spilled and its short reload
         # before the return gets a caller-saved register.
-        return ()
+        return (0, 0)
     if crosses_call:
         # A caller-saved register would be clobbered by the call; only
         # callee-saved registers can hold the value across it.
-        return machine.callee_saved
+        return (callers, everything)
     if used_by_return:
         # Returned values travel in caller-saved registers; a callee-saved
         # register would have to be restored before the return, clobbering
         # the value being returned.
-        return machine.caller_saved
+        return (0, callers)
     # Prefer caller-saved registers (no save/restore obligation); fall back to
-    # callee-saved registers under pressure.  ``allocation_order`` is the
-    # precomputed caller-first tuple, so no per-node concatenation happens.
-    return machine.allocation_order
+    # callee-saved registers under pressure.
+    return (0, everything)
+
+
+def color_round(
+    scan: RoundScan, machine: MachineDescription
+) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """Colour one round's interference graph on bit positions.
+
+    Returns ``(assigned, spilled)``: ``(bit, colour)`` pairs and the spilled
+    bits, both in select order; ``colour`` indexes
+    ``machine.allocation_order``.
+
+    Simplify pops the ``(degree, name)``-minimal node whose degree is below
+    its class size from a lazily invalidated heap (stale entries — node
+    removed, or its degree changed since — are discarded on pop; entries
+    over their class bound are set aside and re-pushed).  When none
+    qualifies, the node with the smallest ``(spill cost / degree, name)`` is
+    removed optimistically.
+    """
+
+    facts = scan.index.facts
+    adjacency = scan.adjacency
+    names = {bit: facts[bit].name for bit in bit_positions(scan.nodes)}
+    if not names:
+        return [], []
+    order = sorted(names, key=names.__getitem__)
+
+    span = {bit: _colour_range(scan, 1 << bit, machine) for bit in order}
+    degrees = {bit: adjacency[bit].bit_count() for bit in order}
+    temps: Dict[int, bool] = {}
+
+    def spill_metric(bit: int) -> float:
+        # Spilling one of the allocator's own reload/store temporaries makes
+        # no progress (its replacement is an identical one-instruction range),
+        # so they are never optimistic spill candidates; pressure is relieved
+        # by splitting an original live-through range instead.
+        temp = temps.get(bit)
+        if temp is None:
+            temp = temps[bit] = is_spill_temp(facts[bit])
+        if temp:
+            return float("inf")
+        return scan.spill_cost[bit] / max(degrees[bit], 1)
+
+    work = scan.nodes
+    stack: List[int] = []
+    heap: List[Tuple[int, str, int]] = [(degrees[bit], names[bit], bit) for bit in order]
+    heapq.heapify(heap)
+    while work:
+        candidate = -1
+        over_bound: List[Tuple[int, str, int]] = []
+        while heap:
+            entry = heapq.heappop(heap)
+            degree, _, bit = entry
+            if not work >> bit & 1 or degrees[bit] != degree:
+                continue
+            start, stop = span[bit]
+            if degree < stop - start:
+                candidate = bit
+                break
+            over_bound.append(entry)
+        for entry in over_bound:
+            heapq.heappush(heap, entry)
+        if candidate < 0:
+            candidate = min(
+                bit_positions(work), key=lambda bit: (spill_metric(bit), names[bit])
+            )
+        work ^= 1 << candidate
+        stack.append(candidate)
+        neighbours = adjacency[candidate] & work
+        while neighbours:
+            low = neighbours & -neighbours
+            neighbours ^= low
+            bit = low.bit_length() - 1
+            degree = degrees[bit] - 1
+            degrees[bit] = degree
+            heapq.heappush(heap, (degree, names[bit], bit))
+
+    # Move-related hints: each node tries its partners' colours first, in
+    # partner-name order.
+    partners: Dict[int, Set[int]] = {}
+    for dst, src in scan.move_pairs:
+        partners.setdefault(dst, set()).add(src)
+        partners.setdefault(src, set()).add(dst)
+
+    # Select: pop nodes and colour them (Briggs' optimistic colouring).
+    # ``holders[c]`` is the mask of nodes coloured ``c`` so far, so a colour
+    # is taken by a neighbour exactly when it meets the node's adjacency.
+    holders = [0] * len(machine.allocation_order)
+    colour_of: Dict[int, int] = {}
+    assigned: List[Tuple[int, int]] = []
+    spilled: List[int] = []
+    for bit in reversed(stack):
+        adjacent = adjacency[bit]
+        start, stop = span[bit]
+        chosen = -1
+        for partner in sorted(partners.get(bit, ()), key=lambda b: facts[b].name):
+            colour = colour_of.get(partner, -1)
+            if start <= colour < stop and not holders[colour] & adjacent:
+                chosen = colour
+                break
+        if chosen < 0:
+            for colour in range(start, stop):
+                if not holders[colour] & adjacent:
+                    chosen = colour
+                    break
+        if chosen < 0:
+            spilled.append(bit)
+        else:
+            colour_of[bit] = chosen
+            holders[chosen] |= 1 << bit
+            assigned.append((bit, chosen))
+    return assigned, spilled
 
 
 def color_graph(
@@ -91,180 +207,29 @@ def color_graph(
 ) -> ColoringResult:
     """Colour the interference graph; uncolourable nodes become spill candidates.
 
-    Selection order is identical to :func:`color_graph_reference` — the
-    reference picks the first satisfying node of a ``(degree, name)``-sorted
-    scan, which equals the minimum over satisfying nodes by that key.  The
-    per-iteration sorts are replaced by a lazily-invalidated heap of
-    ``(degree, name)`` entries: stale entries (node already removed, or its
-    degree has since changed) are discarded on pop, and entries whose node
-    does not satisfy its class bound are set aside and re-pushed.
+    Interns the graph's nodes in name order and runs :func:`color_round`.
     """
 
-    result = ColoringResult()
     nodes = sorted(graph.nodes, key=lambda r: r.name)
-    if not nodes:
-        return result
+    index = RegisterIndex(nodes)
+    live_ranges = [ranges.ranges.get(node) or LiveRange(node) for node in nodes]
 
-    allowed: Dict[Register, Tuple[PhysicalRegister, ...]] = {
-        node: _allowed_registers(node, ranges, machine) for node in nodes
-    }
-    degrees: Dict[Register, int] = {node: graph.degree(node) for node in nodes}
-    stack: List[Register] = []
+    def mask_where(flag: str) -> int:
+        return sum(1 << bit for bit, live in enumerate(live_ranges) if getattr(live, flag))
 
-    def spill_metric(node: Register) -> float:
-        # Spilling one of the allocator's own reload/store temporaries makes
-        # no progress (its replacement is an identical one-instruction range),
-        # so they are never optimistic spill candidates; pressure is relieved
-        # by splitting an original live-through range instead.
-        if is_spill_temp(node):
-            return float("inf")
-        live_range = ranges.ranges.get(node)
-        cost = live_range.spill_cost if live_range is not None else 0.0
-        degree = max(degrees[node], 1)
-        return cost / degree
-
-    # Simplify: repeatedly remove the (degree, name)-minimal node with degree
-    # < k (its register-class size); when none exists, remove the cheapest
-    # node optimistically (ties broken by name).
-    work = set(nodes)
-    heap: List[Tuple[int, str, Register]] = [
-        (degrees[node], node.name, node) for node in nodes
-    ]
-    heapq.heapify(heap)
-    while work:
-        candidate = None
-        over_bound: List[Tuple[int, str, Register]] = []
-        while heap:
-            entry = heapq.heappop(heap)
-            degree, _, node = entry
-            if node not in work or degrees[node] != degree:
-                continue
-            if degree < len(allowed[node]):
-                candidate = node
-                break
-            over_bound.append(entry)
-        for entry in over_bound:
-            heapq.heappush(heap, entry)
-        if candidate is None:
-            best_key = None
-            for node in work:
-                key = (spill_metric(node), node.name)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    candidate = node
-        work.remove(candidate)
-        stack.append(candidate)
-        for neighbour in graph.adjacency(candidate):
-            if neighbour in work:
-                degree = degrees[neighbour] - 1
-                degrees[neighbour] = degree
-                heapq.heappush(heap, (degree, neighbour.name, neighbour))
-
-    # Select: pop nodes and colour them (Briggs' optimistic colouring).
-    assignment = result.assignment
-    while stack:
-        node = stack.pop()
-        taken = set()
-        for n in graph.adjacency(node):
-            colour = assignment.get(n)
-            if colour is not None:
-                taken.add(colour)
-        chosen: Optional[PhysicalRegister] = None
-        # Move-related hint: try to reuse a partner's colour first.
-        for partner in graph.move_partners(node):
-            partner_colour = assignment.get(partner)
-            if (
-                partner_colour is not None
-                and partner_colour not in taken
-                and partner_colour in allowed[node]
-            ):
-                chosen = partner_colour
-                break
-        if chosen is None:
-            for candidate in allowed[node]:
-                if candidate not in taken:
-                    chosen = candidate
-                    break
-        if chosen is None:
-            result.spilled.append(node)
-        else:
-            assignment[node] = chosen
-
-    return result
-
-
-def color_graph_reference(
-    graph: InterferenceGraph,
-    ranges: LiveRangeInfo,
-    machine: MachineDescription,
-) -> ColoringResult:
-    """The original sort-based colouring, kept as the differential reference.
-
-    The property tests in ``tests/regalloc`` assert that :func:`color_graph`
-    produces an identical assignment and spill list on generated scenarios.
-    """
-
-    result = ColoringResult()
-    nodes = sorted(graph.nodes, key=lambda r: r.name)
-    if not nodes:
-        return result
-
-    allowed: Dict[Register, Tuple[PhysicalRegister, ...]] = {
-        node: _allowed_registers(node, ranges, machine) for node in nodes
-    }
-    degrees: Dict[Register, int] = {node: graph.degree(node) for node in nodes}
-    removed: Set[Register] = set()
-    stack: List[Register] = []
-
-    def spill_metric(node: Register) -> float:
-        if is_spill_temp(node):
-            return float("inf")
-        live_range = ranges.ranges.get(node)
-        cost = live_range.spill_cost if live_range is not None else 0.0
-        degree = max(degrees[node], 1)
-        return cost / degree
-
-    work = set(nodes)
-    while work:
-        candidate = None
-        for node in sorted(work, key=lambda r: (degrees[r], r.name)):
-            if degrees[node] < len(allowed[node]):
-                candidate = node
-                break
-        if candidate is None:
-            candidate = min(sorted(work, key=lambda r: r.name), key=spill_metric)
-        work.remove(candidate)
-        removed.add(candidate)
-        stack.append(candidate)
-        for neighbour in graph.neighbours(candidate):
-            if neighbour not in removed:
-                degrees[neighbour] -= 1
-
-    while stack:
-        node = stack.pop()
-        taken = {
-            result.assignment[n]
-            for n in graph.neighbours(node)
-            if n in result.assignment
-        }
-        chosen: Optional[PhysicalRegister] = None
-        for partner in graph.move_partners(node):
-            partner_colour = result.assignment.get(partner)
-            if (
-                partner_colour is not None
-                and partner_colour not in taken
-                and partner_colour in allowed[node]
-            ):
-                chosen = partner_colour
-                break
-        if chosen is None:
-            for candidate in allowed[node]:
-                if candidate not in taken:
-                    chosen = candidate
-                    break
-        if chosen is None:
-            result.spilled.append(node)
-        else:
-            result.assignment[node] = chosen
-
-    return result
+    scan = RoundScan(
+        index=index,
+        nodes=(1 << len(nodes)) - 1,
+        spill_cost=[live.spill_cost for live in live_ranges],
+        crosses_call=mask_where("crosses_call"),
+        used_by_return=mask_where("used_by_return"),
+        parameters=mask_where("is_parameter"),
+        adjacency=[index.mask_of(graph.adjacency(node)) for node in nodes],
+        move_pairs={(index.add(a), index.add(b)) for a, b in graph.move_pairs},
+    )
+    assigned, spilled = color_round(scan, machine)
+    order = machine.allocation_order
+    return ColoringResult(
+        assignment={nodes[bit]: order[colour] for bit, colour in assigned},
+        spilled=[nodes[bit] for bit in spilled],
+    )

@@ -4,22 +4,22 @@ Two virtual registers interfere when one is defined at a point where the
 other is live (the classic Chaitin construction); move instructions get the
 usual exemption so that copy-related registers may share a colour.
 
-Construction runs on the packed-bitset liveness representation: per-register
-adjacency is accumulated as integer bitmasks while walking the instructions
-and only materialized into the public ``Set``-based
-:class:`InterferenceGraph` once, at the end.
+The allocator never builds this ``Set``-based graph: it colours the
+bit-keyed adjacency of :func:`repro.regalloc.live_ranges.scan_round`
+directly.  :func:`build_interference_graph` materializes that same
+adjacency for callers of the public API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro.analysis.bitset import live_masks_at_each_instruction
+from repro.analysis.bitset import bit_positions
 from repro.analysis.liveness import LivenessInfo, liveness_bits
 from repro.ir.function import Function
-from repro.ir.instructions import Opcode
-from repro.ir.values import Register, VirtualRegister
+from repro.ir.values import Register
+from repro.regalloc.live_ranges import scan_round
 
 
 #: Shared empty set handed out by :meth:`InterferenceGraph.adjacency` for
@@ -48,18 +48,6 @@ class InterferenceGraph:
         self._adjacency[a].add(b)
         self._adjacency[b].add(a)
 
-    def add_neighbours(self, register: Register, neighbours: Set[Register]) -> None:
-        """Bulk-insert pre-symmetrized adjacency for one register.
-
-        The batch builder accumulates adjacency as bitmasks and materializes
-        each register's full neighbour set once; the caller guarantees
-        symmetry (every ``b in neighbours`` of ``a`` is later given ``a``)
-        and ``register not in neighbours``.
-        """
-
-        self.add_node(register)
-        self._adjacency[register] |= neighbours
-
     def interferes(self, a: Register, b: Register) -> bool:
         return b in self._adjacency.get(a, set())
 
@@ -69,8 +57,8 @@ class InterferenceGraph:
     def adjacency(self, register: Register) -> Set[Register]:
         """The internal neighbour set of ``register`` — treat as read-only.
 
-        :meth:`neighbours` copies; hot loops that only iterate (the colouring
-        simplify/select passes) use this accessor to skip the copy.
+        :meth:`neighbours` copies; loops that only iterate use this accessor
+        to skip the copy.
         """
 
         return self._adjacency.get(register, _EMPTY_ADJACENCY)
@@ -81,14 +69,26 @@ class InterferenceGraph:
     def num_edges(self) -> int:
         return sum(len(adj) for adj in self._adjacency.values()) // 2
 
-    def move_partners(self, register: Register) -> Set[Register]:
-        partners: Set[Register] = set()
+    def partner_map(self) -> Dict[Register, List[Register]]:
+        """Every node's move partners, each list in name order.
+
+        One pass over :attr:`move_pairs`; colouring takes the first partner
+        whose colour fits, so the name order keeps that choice independent
+        of set iteration order (and so of ``PYTHONHASHSEED``).
+        """
+
+        partners: Dict[Register, Set[Register]] = {}
         for a, b in self.move_pairs:
-            if a == register:
-                partners.add(b)
-            elif b == register:
-                partners.add(a)
-        return partners
+            partners.setdefault(a, set()).add(b)
+            partners.setdefault(b, set()).add(a)
+        return {
+            node: sorted(others, key=lambda r: r.name) for node, others in partners.items()
+        }
+
+    def move_partners(self, register: Register) -> List[Register]:
+        """The move partners of ``register``, in name order."""
+
+        return self.partner_map().get(register, [])
 
 
 def build_interference_graph(
@@ -96,75 +96,13 @@ def build_interference_graph(
 ) -> InterferenceGraph:
     """Chaitin-style interference graph over the virtual registers of ``function``."""
 
-    bits = liveness_bits(function, liveness)
-    index = bits.index
-    vreg_mask = bits.virtual_register_mask()
-
+    scan = scan_round(function, liveness_bits(function, liveness))
+    index = scan.index
+    fact_at = index.fact_at
     graph = InterferenceGraph()
-    # The node set is the virtual registers the function mentions (parameters
-    # and instruction operands) — enumerated from the block-level masks, and
-    # explicitly restricted to this function because a forked per-target base
-    # index carries registers from outside it.
-    node_mask = bits.mentioned_mask(function) & vreg_mask
-    for reg in index.iter_bits(node_mask):
-        graph.add_node(reg)
-
-    # Adjacency accumulates as bit -> neighbour mask; symmetrized and
-    # materialized into sets once, below.
-    adjacency: Dict[int, int] = {}
-
-    for block in function.blocks:
-        live_after = live_masks_at_each_instruction(function, bits, block.label)
-        for position, inst in enumerate(block.instructions):
-            written = [r for r in inst.registers_written() if isinstance(r, VirtualRegister)]
-            if not written:
-                continue
-            live = live_after[position] & vreg_mask
-            move_source = None
-            if inst.opcode is Opcode.MOV and inst.uses and isinstance(inst.uses[0], VirtualRegister):
-                move_source = inst.uses[0]
-            written_bits = [index.add(reg) for reg in written]
-            sibling_mask = 0
-            for bit in written_bits:
-                sibling_mask |= 1 << bit
-            for dst, dst_bit in zip(written, written_bits):
-                # Multiple results of one instruction interfere with each
-                # other; the destination never interferes with itself.
-                others = (live | sibling_mask) & ~(1 << dst_bit)
-                if move_source is not None:
-                    source_bit = 1 << index.add(move_source)
-                    if others & source_bit and move_source != dst:
-                        # A move's source and destination do not interfere
-                        # through the move itself.
-                        graph.move_pairs.add((dst, move_source))
-                        others &= ~source_bit
-                adjacency[dst_bit] = adjacency.get(dst_bit, 0) | others
-
-    # Parameters are all defined at once by the calling convention on entry,
-    # so each interferes with everything live into the entry block — in
-    # particular with every other live-in parameter, which would otherwise
-    # carry no interference at all (parameters have no defining instruction)
-    # and could be assigned one shared register.
-    params = [r for r in function.params if isinstance(r, VirtualRegister)]
-    if params:
-        entry_live = bits.live_in.get(function.entry.label, 0) & vreg_mask
-        param_mask = 0
-        for param in params:
-            param_mask |= 1 << index.add(param)
-        for param in params:
-            bit = index.add(param)
-            others = (entry_live | param_mask) & ~(1 << bit)
-            adjacency[bit] = adjacency.get(bit, 0) | others
-
-    # Symmetrize (edges were recorded from the defining side only), then
-    # materialize the masks into the public set-based adjacency.
-    for bit, mask in list(adjacency.items()):
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            other = low.bit_length() - 1
-            adjacency[other] = adjacency.get(other, 0) | (1 << bit)
-            remaining ^= low
-    for bit, mask in adjacency.items():
-        graph.add_neighbours(index.fact_at(bit), index.set_of(mask))
+    for bit in bit_positions(scan.nodes):
+        register = fact_at(bit)
+        graph.nodes.add(register)
+        graph._adjacency[register] = index.set_of(scan.adjacency[bit])  # hotpath: ok
+    graph.move_pairs = {(fact_at(dst), fact_at(src)) for dst, src in scan.move_pairs}
     return graph

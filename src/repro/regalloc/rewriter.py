@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, List, Set
 
+from repro.analysis.bitset import BitLiveness
 from repro.ir import instructions as ins
 from repro.ir.function import Function
 from repro.ir.values import PhysicalRegister, Register, StackSlot, VirtualRegister
@@ -155,24 +156,34 @@ def insert_spill_code(function: Function, spilled: Iterable[Register]) -> Dict[R
     return slots
 
 
-def apply_assignment(function: Function, assignment: Dict[Register, PhysicalRegister]) -> None:
-    """Replace every assigned virtual register with its physical register."""
+def apply_assignment(
+    function: Function,
+    assignment: Dict[Register, PhysicalRegister],
+    bits: BitLiveness,
+) -> List[Register]:
+    """Replace every assigned virtual register with its physical register.
 
+    ``bits`` is a liveness solution of ``function`` as it stands; its
+    instruction masks tell which instructions mention virtual registers and
+    whether ``assignment`` covers them, so the rewrite walks no operand
+    tuples of its own.  Returns the virtual registers the assignment does
+    not cover, which stay in the rewritten code (the allocator treats any as
+    an error).
+    """
+
+    index = bits.index
+    virtual = index.virtual_mask
+    assigned = index.mask_of(assignment)
+    leftovers = 0
     for block in function.blocks:
-        block.instructions = [
-            inst.replace_registers(assignment) if any(
-                isinstance(r, VirtualRegister) and r in assignment for r in inst.registers()
-            ) else inst
-            for inst in block.instructions
-        ]
-
-
-def unassigned_virtual_registers(function: Function) -> Set[VirtualRegister]:
-    """Virtual registers still present after the rewrite (should be empty)."""
-
-    return {
-        r
-        for inst in function.instructions()
-        for r in inst.registers()
-        if isinstance(r, VirtualRegister)
-    }
+        masks = bits.instruction_masks(function, block.label)
+        rewritten = []
+        for inst, (written, read) in zip(block.instructions, masks):
+            mentioned = (written | read) & virtual
+            if mentioned:
+                leftovers |= mentioned & ~assigned
+                if mentioned & assigned:
+                    inst = inst.replace_registers(assignment)
+            rewritten.append(inst)
+        block.instructions = rewritten
+    return list(index.iter_bits(leftovers))

@@ -3,8 +3,8 @@
 The allocator's hot path (liveness bitsets, heap-based colouring, mask-based
 callee-saved occupancy, the persistent per-target register index) must be
 *bit-identical* to the straightforward set-based implementations it replaced.
-Each optimized routine keeps its reference sibling in the source tree; these
-tests run both on generated procedures — via hypothesis and via the
+The references live beside these tests (``references.py``); these tests run
+both on generated procedures — via hypothesis and via the
 deterministic scenario families on several targets — and assert exact
 equality, not approximate agreement.
 """
@@ -15,11 +15,8 @@ import repro.analysis.bitset as bitset_mod
 from repro.analysis.bitset import base_register_index
 from repro.ir.values import VirtualRegister
 from repro.regalloc.allocator import allocate_registers
-from repro.regalloc.callee_saved import (
-    compute_callee_saved_usage,
-    compute_callee_saved_usage_reference,
-)
-from repro.regalloc.coloring import color_graph, color_graph_reference
+from repro.regalloc.callee_saved import compute_callee_saved_usage
+from repro.regalloc.coloring import color_graph
 from repro.regalloc.interference import build_interference_graph
 from repro.regalloc.live_ranges import compute_live_ranges
 from repro.target.generic import tiny_target
@@ -28,6 +25,10 @@ from repro.target.registry import get_target
 from repro.workloads.scenarios import build_scenario_suite, scenario_names
 
 from tests.conftest import generated_procedures
+from tests.regalloc.references import (
+    color_graph_reference,
+    compute_callee_saved_usage_reference,
+)
 
 
 def _scenario_procedures(machine, seed=3, count=1):

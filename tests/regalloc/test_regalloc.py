@@ -14,12 +14,13 @@ from repro.regalloc.callee_saved import compute_callee_saved_usage
 from repro.regalloc.coloring import color_graph
 from repro.regalloc.interference import build_interference_graph
 from repro.regalloc.live_ranges import compute_live_ranges
-from repro.regalloc.rewriter import insert_spill_code, isolate_parameters, unassigned_virtual_registers
+from repro.regalloc.rewriter import apply_assignment, insert_spill_code, isolate_parameters
 from repro.target.generic import tiny_target
 from repro.target.parisc import parisc_target
 from repro.workloads.programs import call_chain_function, diamond_function, loop_function
 
 from tests.conftest import generated_procedures
+from tests.regalloc.references import unassigned_virtual_registers
 
 
 def _call_crossing_function():
@@ -167,6 +168,20 @@ class TestRewriter:
         assert purposes.count("spill") >= 2
         # The original register no longer appears; only its split temporaries.
         assert x not in {r for i in function.instructions() for r in i.registers()}
+
+    def test_apply_assignment_reports_every_leftover_virtual_register(self):
+        function, x, y = _call_crossing_function()
+        virtual = unassigned_virtual_registers(function)
+        assert {x, y} < virtual
+        untouched = [inst for inst in function.instructions() if x not in inst.registers()]
+        leftovers = apply_assignment(
+            function, {x: PhysicalRegister("r9", 9)}, compute_liveness(function).bits
+        )
+        assert set(leftovers) == virtual - {x} == unassigned_virtual_registers(function)
+        # Only the instructions mentioning an assigned register are rewritten.
+        after = list(function.instructions())
+        assert all(any(inst is i for i in after) for inst in untouched)
+        assert len(after) - len(untouched) == 2
 
     def test_isolate_parameters_inserts_entry_moves(self):
         builder = FunctionBuilder("p")

@@ -28,17 +28,22 @@ class TestRules:
             found = check_hotpath.check_source(source, path)
             assert [(v.code, v.line) for v in found] == [("H001", 3)]
 
-    def test_h002_catches_mask_materialization_in_spill_only(self):
+    def test_h002_catches_mask_materialization_in_spill(self):
         source = "def f(ix, m):\n    return ix.set_of(m)\n"
         assert [
             v.code
             for v in check_hotpath.check_source(source, "src/repro/spill/x.py")
         ] == ["H002"]
-        # The regalloc interference boundary is outside H002's scope.
-        assert (
-            check_hotpath.check_source(source, "src/repro/regalloc/interference.py")
-            == []
+        assert check_hotpath.check_source(source, "src/repro/evaluation/x.py") == []
+
+    def test_h002_catches_mask_materialization_in_the_allocator(self):
+        source = (
+            "def f(ix, masks):\n"
+            "    graph = {b: ix.set_of(m) for b, m in masks.items()}  # hotpath: ok\n"
+            "    return [ix.set_of(m) for m in masks.values()]\n"
         )
+        found = check_hotpath.check_source(source, "src/repro/regalloc/x.py")
+        assert [(v.code, v.line) for v in found] == [("H002", 3)]
 
     def test_h003_catches_blocking_calls_in_async_defs(self):
         source = "import time\nasync def f():\n    time.sleep(0.1)\n"
